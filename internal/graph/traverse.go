@@ -84,6 +84,13 @@ func (g *Graph) Components() ([]int32, int) {
 // scratch arrays across calls: each query touches only the BFS ball it
 // explores instead of paying an O(n) reset, which turns whole-graph sweeps
 // (Girth, short-cycle fractions) from O(n²) into O(Σ ball size).
+//
+// Depth cut: scanning the edges of a depth-d node can only close cycles of
+// length 2d+1 (an edge to another depth-d node) or 2d+2 (an edge to a depth
+// d+1 node). A cycle of length 2d is closed by an edge between depths d-1
+// and d, which the scan of the depth d-1 endpoint already saw. So a query
+// stops before depth d once 2d+1 exceeds maxLen or reaches the best cycle
+// found so far, and never expands a level that cannot improve its answer.
 type CycleScanner struct {
 	g     *Graph
 	root  []int32
@@ -113,7 +120,7 @@ func (g *Graph) NewCycleScanner() *CycleScanner {
 func (s *CycleScanner) ShortestCycleThrough(v int, maxLen int) int {
 	g := s.g
 	deg := g.Deg(v)
-	if deg < 2 {
+	if deg < 2 || maxLen == 1 { // no cycle is shorter than a parallel edge pair
 		return -1
 	}
 	s.stamp++
@@ -141,10 +148,11 @@ func (s *CycleScanner) ShortestCycleThrough(v int, maxLen int) int {
 	best := -1
 	for qi := 0; qi < len(queue); qi++ {
 		x := queue[qi]
-		if maxLen > 0 && int(s.dist[x])*2 >= maxLen+2 {
+		shortest := 2*int(s.dist[x]) + 1 // see the depth cut on CycleScanner
+		if maxLen > 0 && shortest > maxLen {
 			break
 		}
-		if best > 0 && int(s.dist[x])*2 >= best+2 {
+		if best > 0 && shortest >= best {
 			break
 		}
 		for p, u := range g.Neighbors(int(x)) {
@@ -185,12 +193,18 @@ func (g *Graph) ShortestCycleThrough(v int, maxLen int) int {
 }
 
 // Girth returns the length of the shortest cycle in g, or -1 for forests.
+// Graphs have no self-loops, so no answer is shorter than 2.
 func (g *Graph) Girth() int {
 	s := g.NewCycleScanner()
 	best := -1
-	for v := 0; v < g.n; v++ {
-		l := s.ShortestCycleThrough(v, best)
-		if l > 0 && (best < 0 || l < best) {
+	for v := 0; v < g.n && best != 2; v++ {
+		// Once a cycle is known, later nodes only matter if they lie on a
+		// strictly shorter one.
+		maxLen := 0
+		if best > 0 {
+			maxLen = best - 1
+		}
+		if l := s.ShortestCycleThrough(v, maxLen); l > 0 {
 			best = l
 		}
 	}
@@ -201,11 +215,10 @@ func (g *Graph) Girth() int {
 // whether v sees no cycle within distance r. This is the "G_k^k(v) is a
 // tree" condition of Theorem 11: it holds iff every cycle through a node of
 // the ball avoids the ball's interior. We check it by running a BFS of
-// depth r from v and detecting any non-tree edge between reached nodes at
-// depth < r, or between depth r-1 and depth r nodes, or inside depth r... A
-// cycle intersecting the ball interior is seen by v within radius r exactly
-// when the BFS (to depth r) encounters a cross or back edge between two
-// nodes whose depths sum with the edge to <= 2r.
+// depth r from v: the ball is a tree exactly when every edge scanned out of
+// a node at depth < r, other than the tree edge back to its parent, leads
+// to a node not reached before. Any other such edge closes a cycle inside
+// the ball, of length at most dx + du + 1 <= 2r.
 func (g *Graph) TreelikeBall(v, r int) bool {
 	dist := make(map[int32]int32, 64)
 	parentArc := make(map[int32]int32, 64)

@@ -40,7 +40,8 @@ func Project(lifted, q int) int { return lifted / q }
 
 // IsCoveringMap verifies that lifted is a valid order-q lift of base: the
 // projection preserves degrees and maps the neighborhood of every lifted
-// node bijectively onto the neighborhood of its base node.
+// node bijectively onto the neighborhood of its base node. The first
+// violation is reported in neighbor order, so the error is deterministic.
 func IsCoveringMap(base, lifted *graph.Graph, q int) error {
 	if lifted.N() != base.N()*q {
 		return fmt.Errorf("lift: %d lifted nodes, want %d", lifted.N(), base.N()*q)
@@ -48,30 +49,30 @@ func IsCoveringMap(base, lifted *graph.Graph, q int) error {
 	if lifted.M() != base.M()*q {
 		return fmt.Errorf("lift: %d lifted edges, want %d", lifted.M(), base.M()*q)
 	}
-	baseCount := make(map[int]int)
-	liftCount := make(map[int]int)
+	// Per-base-node neighbor counts, all zero between nodes: a node that
+	// passes has counts only at its base neighbors, which are then reset.
+	baseCount := make([]int32, base.N())
+	liftCount := make([]int32, base.N())
 	for lv := 0; lv < lifted.N(); lv++ {
 		v := Project(lv, q)
 		if lifted.Deg(lv) != base.Deg(v) {
 			return fmt.Errorf("lift: node %d degree %d != base %d", lv, lifted.Deg(lv), base.Deg(v))
 		}
-		clear(baseCount)
-		clear(liftCount)
 		for _, u := range base.Neighbors(v) {
-			baseCount[int(u)]++
+			baseCount[u]++
 		}
 		for _, lu := range lifted.Neighbors(lv) {
 			liftCount[Project(int(lu), q)]++
 		}
-		for u, c := range baseCount {
-			if liftCount[u] != c {
-				return fmt.Errorf("lift: node %d sees %d copies of base neighbor %d, want %d", lv, liftCount[u], u, c)
+		// The degrees are equal, so once every base neighbor's count
+		// matches, no lifted arc is left over for a non-neighbor fiber.
+		for _, u := range base.Neighbors(v) {
+			if liftCount[u] != baseCount[u] {
+				return fmt.Errorf("lift: node %d sees %d copies of base neighbor %d, want %d", lv, liftCount[u], u, baseCount[u])
 			}
 		}
-		for u := range liftCount {
-			if baseCount[u] == 0 {
-				return fmt.Errorf("lift: node %d adjacent to non-neighbor fiber %d", lv, u)
-			}
+		for _, u := range base.Neighbors(v) {
+			baseCount[u], liftCount[u] = 0, 0
 		}
 	}
 	return nil

@@ -108,3 +108,69 @@ func TestLiftedInstanceKeepsClusters(t *testing.T) {
 		}
 	}
 }
+
+// TestIsCoveringMapErrorIsDeterministic: a tampered lift whose node 0 has
+// several violations reports the same, first-in-neighbor-order one on every
+// call.
+func TestIsCoveringMapErrorIsDeterministic(t *testing.T) {
+	// Base: the star with center 0 and leaves 1..8, lifted with q=2, so
+	// fiber v is {2v, 2v+1}. In the tampered lift node 0 takes both copies
+	// of leaves 1..4 and node 1 both copies of leaves 5..8: node 0 violates
+	// the covering condition at all eight base neighbors.
+	base := graph.Star(9)
+	var edges [][2]int
+	for leaf := 1; leaf <= 8; leaf++ {
+		center := 0
+		if leaf > 4 {
+			center = 1
+		}
+		edges = append(edges, [2]int{center, 2 * leaf}, [2]int{center, 2*leaf + 1})
+	}
+	tampered, err := graph.FromEdges(18, edges)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = "lift: node 0 sees 2 copies of base neighbor 1, want 1"
+	for i := 0; i < 20; i++ {
+		err := lift.IsCoveringMap(base, tampered, 2)
+		if err == nil || err.Error() != want {
+			t.Fatalf("call %d: got %v, want %q", i, err, want)
+		}
+	}
+}
+
+// lift64 is E8's largest instance: an order-64 random lift of G_1(β=4)
+// (18432 nodes of degree 32).
+func lift64(b *testing.B) *graph.Graph {
+	base, err := basegraph.Build(basegraph.Params{K: 1, Beta: 4})
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, err := lift.Random(base.G, 64, rand.New(rand.NewPCG(8, 8)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	return g
+}
+
+// Sinks keep the compiler from discarding the benchmarked calls.
+var (
+	fracSink  float64
+	girthSink int
+)
+
+func BenchmarkShortCycleFractionLift64(b *testing.B) {
+	g := lift64(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		fracSink = lift.ShortCycleFraction(g, 3) + lift.ShortCycleFraction(g, 5)
+	}
+}
+
+func BenchmarkGirthLift64(b *testing.B) {
+	g := lift64(b)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		girthSink = g.Girth()
+	}
+}
