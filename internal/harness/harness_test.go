@@ -1,17 +1,70 @@
 package harness_test
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 
 	"avgloc/internal/harness"
 )
 
-// TestAllExperimentsQuick runs every experiment at Quick scale and checks
-// basic table well-formedness. The qualitative shape assertions live in
-// the focused tests below and in the per-package tests.
+var update = flag.Bool("update", false, "rewrite testdata/tables.golden")
+
+// tablesGolden holds one "<id> <sha256 of the rendered table>" line per
+// experiment at Quick scale, seed 42.
+var tablesGolden = filepath.Join("testdata", "tables.golden")
+
+func readTableHashes(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(tablesGolden)
+	if err != nil {
+		t.Fatalf("%v (rerun with -update to create it)", err)
+	}
+	want := map[string]string{}
+	for _, line := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		id, sum, ok := strings.Cut(line, " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", tablesGolden, line)
+		}
+		want[id] = sum
+	}
+	return want
+}
+
+// TestAllExperimentsQuick runs every experiment at Quick scale, checks
+// basic table well-formedness, and pins every table's bytes: the sha256 of
+// its rendering at seed 42 must match testdata/tables.golden, so any
+// change to a reported number fails here with the experiment's name. The
+// qualitative shape assertions live in the focused tests below and in the
+// per-package tests.
 func TestAllExperimentsQuick(t *testing.T) {
+	var want map[string]string
+	if !*update {
+		want = readTableHashes(t)
+	}
+	var mu sync.Mutex
+	got := map[string]string{}
+	if *update {
+		t.Cleanup(func() {
+			var b strings.Builder
+			for _, e := range harness.All() {
+				fmt.Fprintf(&b, "%s %s\n", e.ID, got[e.ID])
+			}
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(tablesGolden, []byte(b.String()), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 	for _, e := range harness.All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
@@ -19,6 +72,16 @@ func TestAllExperimentsQuick(t *testing.T) {
 			tab, err := e.Run(harness.Options{Scale: harness.Quick, Seed: 42})
 			if err != nil {
 				t.Fatalf("%s: %v", e.ID, err)
+			}
+			sum := sha256.Sum256([]byte(tab.String()))
+			h := hex.EncodeToString(sum[:])
+			if *update {
+				mu.Lock()
+				got[e.ID] = h
+				mu.Unlock()
+			} else if h != want[e.ID] {
+				t.Errorf("%s: table sha256 %s, golden %s (rerun with -update if the change is intended):\n%s",
+					e.ID, h, want[e.ID], tab)
 			}
 			if len(tab.Rows) == 0 {
 				t.Fatalf("%s: empty table", e.ID)
