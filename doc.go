@@ -28,15 +28,17 @@
 //
 // # Executors
 //
-// The round engine (internal/runtime) ships two executors with identical
-// semantics. The sequential frontier executor keeps an active worklist of
-// exactly the non-halted nodes — a node leaves the worklist at its halt
-// round — so the cost of a round is proportional to the surviving frontier,
-// not to n; under the paper's node-averaged regime, simulation work is
-// Θ(Σ_v T_v) rather than Θ(n · max T_v). The concurrent executor runs one
-// goroutine per node with channel round barriers, the literal rendering of
-// synchronous message passing. Engine reuse (runtime.NewEngine) keeps all
-// per-run buffers in graph-sized arenas across repeated trials.
+// The round engine (internal/runtime) has one executor and one programming
+// model: every node program is a state machine whose Round method the
+// engine calls once per synchronous round. The executor keeps an active
+// worklist of exactly the non-halted nodes — a node leaves the worklist at
+// its halt round — so the cost of a round is proportional to the surviving
+// frontier, not to n; under the paper's node-averaged regime, simulation
+// work is Θ(Σ_v T_v) rather than Θ(n · max T_v). The multi-phase
+// deterministic algorithms (Linial, Kuhn–Wattenhofer, Cole–Vishkin, the
+// color-class MIS sweep) are resumable stages in internal/alg/coloring
+// that programs chain in lockstep. Engine reuse (runtime.NewEngine) keeps
+// all per-run buffers in graph-sized arenas across repeated trials.
 //
 // # Measurement distributions
 //

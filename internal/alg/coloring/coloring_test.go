@@ -11,26 +11,35 @@ import (
 	"avgloc/internal/runtime"
 )
 
+type progFunc func(*runtime.Context, []runtime.Message)
+
+func (f progFunc) Round(ctx *runtime.Context, inbox []runtime.Message) { f(ctx, inbox) }
+
 // cycleCV runs CV6 on a consistently oriented cycle: with sequential
 // identifiers, each node's parent is its successor (id+1 mod n), so the
 // pseudoforest covers every cycle edge and the 6-coloring is proper on the
 // whole cycle. CV6 only guarantees properness along parent edges, so the
 // orientation must cover the edges being checked.
-func cycleCV(n int) runtime.Algorithm {
-	return runtime.NewBlocking("test/cyclecv", func(view runtime.NodeView) runtime.Proc {
-		return func(pc *runtime.ProcContext) {
-			succ := (view.ID + 1) % int64(n)
-			parent := 0
-			if view.NeighborIDs[1] == succ {
-				parent = 1
-			}
-			space := int64(n) * int64(n)
-			bits := 1
-			for int64(1)<<uint(bits) <= space-1 {
-				bits++
-			}
-			c := coloring.CV6(pc, view.ID, bits, parent)
-			pc.CommitNode(c)
+type cycleCV struct{ n int }
+
+func (cycleCV) Name() string { return "test/cyclecv" }
+
+func (a cycleCV) Node(view runtime.NodeView) runtime.Program {
+	succ := (view.ID + 1) % int64(a.n)
+	parent := 0
+	if view.NeighborIDs[1] == succ {
+		parent = 1
+	}
+	space := int64(a.n) * int64(a.n)
+	bits := 1
+	for int64(1)<<uint(bits) <= space-1 {
+		bits++
+	}
+	cv := coloring.NewCV6(view.ID, bits, parent)
+	return progFunc(func(ctx *runtime.Context, inbox []runtime.Message) {
+		if cv.Round(ctx, inbox) {
+			ctx.CommitNode(cv.Color())
+			ctx.Halt()
 		}
 	})
 }
@@ -38,7 +47,7 @@ func cycleCV(n int) runtime.Algorithm {
 func TestCV6OnCycle(t *testing.T) {
 	for _, n := range []int{3, 4, 17, 100, 257} {
 		g := graph.Cycle(n)
-		res, err := runtime.Run(g, cycleCV(n), runtime.Config{IDs: ids.Sequential(n)})
+		res, err := runtime.Run(g, cycleCV{n}, runtime.Config{IDs: ids.Sequential(n)})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -73,20 +82,32 @@ func TestCVRoundsMonotone(t *testing.T) {
 	}
 }
 
-// linialAlg runs Linial + KW reduction + commits a (Δ+1)-coloring.
-func linialAlg() runtime.Algorithm {
-	return runtime.NewBlocking("test/linial", func(view runtime.NodeView) runtime.Proc {
-		return func(pc *runtime.ProcContext) {
-			space := int64(view.N) * int64(view.N)
-			if space < 4 {
-				space = 4
+// linialAlg runs Linial + KW reduction + commits a (Δ+1)-coloring. The
+// reduction stage starts in the round Linial finishes, without an inbox.
+type linialAlg struct{}
+
+func (linialAlg) Name() string { return "test/linial" }
+
+func (linialAlg) Node(view runtime.NodeView) runtime.Program {
+	space := int64(view.N) * int64(view.N)
+	if space < 4 {
+		space = 4
+	}
+	lin := coloring.NewLinial(view.ID, space, view.MaxDegree)
+	var kw coloring.ReduceColorsKW
+	reducing := false
+	return progFunc(func(ctx *runtime.Context, inbox []runtime.Message) {
+		if !reducing {
+			if !lin.Round(ctx, inbox) {
+				return
 			}
-			color, palette := coloring.Linial(pc, view.ID, space, view.MaxDegree)
-			target := int64(view.MaxDegree + 1)
-			if palette > target {
-				color = coloring.ReduceColorsKW(pc, color, palette, target)
-			}
-			pc.CommitNode(int(color))
+			reducing = true
+			kw = coloring.NewReduceColorsKW(lin.Color(), lin.Palette(), int64(view.MaxDegree+1))
+			inbox = nil
+		}
+		if kw.Round(ctx, inbox) {
+			ctx.CommitNode(int(kw.Color()))
+			ctx.Halt()
 		}
 	})
 }
@@ -101,7 +122,7 @@ func TestLinialPlusReduction(t *testing.T) {
 		graph.Complete(9),
 	}
 	for i, g := range workloads {
-		res, err := runtime.Run(g, linialAlg(), runtime.Config{IDs: ids.RandomPerm(g.N(), rng)})
+		res, err := runtime.Run(g, linialAlg{}, runtime.Config{IDs: ids.RandomPerm(g.N(), rng)})
 		if err != nil {
 			t.Fatalf("workload %d (%s): %v", i, g, err)
 		}

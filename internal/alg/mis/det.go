@@ -18,25 +18,21 @@ func (Det) Name() string { return "mis/det-coloring" }
 
 // Node implements runtime.Algorithm.
 func (Det) Node(view runtime.NodeView) runtime.Program {
-	alg := runtime.NewBlocking("mis/det-coloring", func(view runtime.NodeView) runtime.Proc {
-		return func(pc *runtime.ProcContext) {
-			space := int64(view.N) * int64(view.N)
-			if space < 4 {
-				space = 4
-			}
-			color, palette := coloring.Linial(pc, view.ID, space, view.MaxDegree)
-			target := int64(view.MaxDegree + 1)
-			if palette > target {
-				color = coloring.ReduceColorsKW(pc, color, palette, target)
-			} else {
-				target = palette
-			}
-			if coloring.MISSweep(pc, int(target), int(color)) {
-				pc.CommitNode(In)
-			} else {
-				pc.CommitNode(Out)
-			}
-		}
-	})
-	return alg.Node(view)
+	return &detNode{mis: coloring.NewMIS(view.ID, view.N, view.MaxDegree)}
+}
+
+type detNode struct{ mis coloring.MIS }
+
+var _ runtime.Program = (*detNode)(nil)
+
+func (n *detNode) Round(ctx *runtime.Context, inbox []runtime.Message) {
+	if !n.mis.Round(ctx, inbox) {
+		return
+	}
+	if n.mis.Joined() {
+		ctx.CommitNode(In)
+	} else {
+		ctx.CommitNode(Out)
+	}
+	ctx.Halt()
 }

@@ -195,156 +195,204 @@ type removedMsg struct{}
 
 // Node implements runtime.Algorithm.
 func (d Det) Node(view runtime.NodeView) runtime.Program {
-	alg := runtime.NewBlocking(d.Name(), func(view runtime.NodeView) runtime.Proc {
-		return func(pc *runtime.ProcContext) {
-			d.run(pc, view)
-		}
-	})
-	return alg.Node(view)
-}
-
-func (d Det) run(pc *runtime.ProcContext, view runtime.NodeView) {
 	space := int64(view.N) * int64(view.N)
 	if space < 4 {
 		space = 4
 	}
 	bits := bitsFor64(space - 1)
-	iters := d.Iterations(view.N, view.MaxDegree)
-
-	for it := 0; it < iters; it++ {
-		inD, done := d.halvingIteration(pc, view, bits)
-		if done {
-			return // retired: output already committed
-		}
-		_ = inD // survivors (D members) continue
-	}
-
-	// Finisher: MIS of the surviving graph via Linial + reduction + sweep.
-	color, palette := coloring.Linial(pc, view.ID, space, view.MaxDegree)
-	target := int64(view.MaxDegree + 1)
-	if palette > target {
-		color = coloring.ReduceColorsKW(pc, color, palette, target)
-	} else {
-		target = palette
-	}
-	if coloring.MISSweep(pc, int(target), int(color)) {
-		pc.CommitNode(In)
-	} else {
-		pc.CommitNode(Out)
+	return &detNode{
+		view:     view,
+		bits:     bits,
+		rounds:   d.iterationRounds(bits),
+		iters:    d.Iterations(view.N, view.MaxDegree),
+		children: make([]bool, view.Degree),
 	}
 }
 
-// halvingIteration runs one dominating-set iteration. It returns
-// (inD, done): done=true means this node retired (committed Out);
-// otherwise the node is in the dominating set and stays active.
-func (d Det) halvingIteration(pc *runtime.ProcContext, view runtime.NodeView, bits int) (bool, bool) {
-	deg := view.Degree
-	// Round 1: census of active neighbors.
-	pc.Broadcast(censusMsg{ID: view.ID})
-	in := pc.Step()
-	activeID := make(map[int]int64, deg)
-	for p, m := range in {
-		if cm, ok := m.(censusMsg); ok {
-			activeID[p] = cm.ID
-		}
-	}
+// detPhase is the position of a node inside one halving iteration (or the
+// finisher). Each of the first six phases is one round of the iteration.
+type detPhase uint8
 
-	// Isolated nodes idle through this iteration in lockstep and survive;
-	// they join the ruling set in the finisher.
-	rounds := d.iterationRounds(bits)
-	if len(activeID) == 0 {
-		pc.StepN(rounds - 1)
-		return true, false
-	}
+const (
+	phaseCensus     detPhase = iota // announce to active neighbors
+	phaseChoose                     // point at the smallest active identifier
+	phaseLeaf                       // pseudoforest leaves notify their parent
+	phaseLeafParent                 // leaf-parents announce
+	phaseRemoved                    // removed nodes tell their neighbors
+	phaseDecide                     // retire, idle as a leaf-parent, or start CV
+	phaseIdle                       // wait in lockstep until the iteration ends
+	phaseCV                         // Cole–Vishkin on the surviving pseudoforest
+	phaseSweep                      // MIS sweep over the 6 CV colors
+	phaseFinish                     // MIS finisher on the survivors
+)
 
-	// Round 2: point at the smallest-identifier active neighbor.
-	parentPort := -1
-	var parentID int64
-	for p, id := range activeID {
-		if parentPort < 0 || id < parentID {
-			parentPort, parentID = p, id
-		}
-	}
-	pc.Send(parentPort, chosenMsg{})
-	in = pc.Step()
-	children := make(map[int]bool, deg)
-	for p, m := range in {
-		if _, ok := m.(chosenMsg); ok {
-			children[p] = true
-		}
-	}
+// detNode runs the Theorem 3 iterations as a phase switch: every node of
+// every iteration spends exactly `rounds` rounds in it unless it retires,
+// so survivors stay in lockstep.
+type detNode struct {
+	view         runtime.NodeView
+	bits, rounds int
+	iters, it    int
+	phase        detPhase
+	idle         int // rounds left in phaseIdle
+	parentPort   int
+	parentID     int64
+	children     []bool // port-indexed: the neighbor pointed at us
+	isLeaf       bool
+	leafParent   bool
+	removed      bool
+	cv           coloring.CV6
+	sweep        coloring.MISSweep
+	mis          coloring.MIS
+}
 
-	// Pseudoforest degree: children plus the parent edge unless mutual.
-	degP := len(children)
-	if !children[parentPort] {
-		degP++
-	}
-	isLeaf := degP == 1
+var _ runtime.Program = (*detNode)(nil)
 
-	// Round 3: leaves notify their parent.
-	if isLeaf {
-		pc.Send(parentPort, leafMsg{})
+func (n *detNode) Round(ctx *runtime.Context, inbox []runtime.Message) {
+	if n.step(ctx, inbox) {
+		ctx.Halt()
 	}
-	in = pc.Step()
-	leafParent := false
-	for _, m := range in {
-		if _, ok := m.(leafMsg); ok {
-			leafParent = true
-			break
-		}
-	}
+}
 
-	// Round 4: leaf-parents announce; pseudoforest neighbors of a
-	// leaf-parent leave the pseudoforest.
-	if leafParent {
-		pc.Broadcast(leafParentMsg{})
-	}
-	in = pc.Step()
-	removed := isLeaf || leafParent
-	for p, m := range in {
-		if _, ok := m.(leafParentMsg); !ok {
-			continue
+// step advances the node by one round and reports whether it committed.
+// Phases that end the iteration fall through to the next iteration's (or
+// the finisher's) first round within the same call, with no inbox.
+func (n *detNode) step(ctx *runtime.Context, inbox []runtime.Message) bool {
+	for {
+		switch n.phase {
+		case phaseCensus:
+			ctx.Broadcast(censusMsg{ID: n.view.ID})
+			n.phase = phaseChoose
+			return false
+		case phaseChoose:
+			n.parentPort = -1
+			for p, m := range inbox {
+				if cm, ok := m.(censusMsg); ok && (n.parentPort < 0 || cm.ID < n.parentID) {
+					n.parentPort, n.parentID = p, cm.ID
+				}
+			}
+			if n.parentPort < 0 {
+				// Isolated nodes idle through this iteration in lockstep
+				// and survive; they join the ruling set in the finisher.
+				n.phase, n.idle = phaseIdle, n.rounds-1
+				return false
+			}
+			ctx.Send(n.parentPort, chosenMsg{})
+			n.phase = phaseLeaf
+			return false
+		case phaseLeaf:
+			degP := 0
+			for p, m := range inbox {
+				_, ok := m.(chosenMsg)
+				n.children[p] = ok
+				if ok {
+					degP++
+				}
+			}
+			// Pseudoforest degree: children plus the parent edge unless
+			// mutual.
+			if !n.children[n.parentPort] {
+				degP++
+			}
+			n.isLeaf = degP == 1
+			if n.isLeaf {
+				ctx.Send(n.parentPort, leafMsg{})
+			}
+			n.phase = phaseLeafParent
+			return false
+		case phaseLeafParent:
+			n.leafParent = false
+			for _, m := range inbox {
+				if _, ok := m.(leafMsg); ok {
+					n.leafParent = true
+					break
+				}
+			}
+			// Pseudoforest neighbors of a leaf-parent leave the
+			// pseudoforest.
+			if n.leafParent {
+				ctx.Broadcast(leafParentMsg{})
+			}
+			n.phase = phaseRemoved
+			return false
+		case phaseRemoved:
+			n.removed = n.isLeaf || n.leafParent
+			for p, m := range inbox {
+				if _, ok := m.(leafParentMsg); ok && (p == n.parentPort || n.children[p]) {
+					n.removed = true
+				}
+			}
+			// Removed nodes tell their pseudoforest neighbors, so the rest
+			// knows its surviving pseudoforest parent.
+			if n.removed {
+				ctx.Broadcast(removedMsg{})
+			}
+			n.phase = phaseDecide
+			return false
+		case phaseDecide:
+			// Retired nodes (outside the dominating set, dominated by a
+			// leaf-parent) commit immediately and halt; nobody reads from
+			// them again. Leaf-parents are in the dominating set but
+			// outside the surviving pseudoforest: they idle in lockstep
+			// while the rest runs Cole–Vishkin and the MIS sweep.
+			if n.removed {
+				if !n.leafParent {
+					ctx.CommitNode(Out)
+					return true
+				}
+				n.phase, n.idle = phaseIdle, coloring.CVRounds(n.bits)+6
+				return false
+			}
+			cvParent := n.parentPort
+			if _, ok := inbox[n.parentPort].(removedMsg); ok {
+				cvParent = -1
+			}
+			n.cv = coloring.NewCV6(n.view.ID, n.bits, cvParent)
+			n.phase = phaseCV
+		case phaseIdle:
+			if n.idle--; n.idle > 0 {
+				return false
+			}
+			n.nextIteration()
+		case phaseCV:
+			if !n.cv.Round(ctx, inbox) {
+				return false
+			}
+			n.sweep = coloring.NewMISSweep(6, n.cv.Color())
+			n.phase = phaseSweep
+		case phaseSweep:
+			if !n.sweep.Round(ctx, inbox) {
+				return false
+			}
+			if !n.sweep.Joined() {
+				ctx.CommitNode(Out)
+				return true
+			}
+			n.nextIteration()
+		case phaseFinish:
+			if !n.mis.Round(ctx, inbox) {
+				return false
+			}
+			if n.mis.Joined() {
+				ctx.CommitNode(In)
+			} else {
+				ctx.CommitNode(Out)
+			}
+			return true
 		}
-		if p == parentPort || children[p] {
-			removed = true
-		}
+		inbox = nil // the next phase starts in this round
 	}
+}
 
-	// Round 5: removed nodes tell their pseudoforest neighbors, so the
-	// rest knows its surviving pseudoforest parent.
-	if removed {
-		pc.Broadcast(removedMsg{})
+// nextIteration moves a surviving (dominating-set) node to the next
+// halving iteration, or to the MIS finisher after the last one.
+func (n *detNode) nextIteration() {
+	if n.it++; n.it < n.iters {
+		n.phase = phaseCensus
+		return
 	}
-	in = pc.Step()
-	cvParent := parentPort
-	if removed {
-		cvParent = -1
-	} else if m := in[parentPort]; m != nil {
-		if _, ok := m.(removedMsg); ok {
-			cvParent = -1
-		}
-	}
-
-	// Retired nodes (outside the dominating set, dominated by a
-	// leaf-parent) commit immediately and halt; nobody reads from them
-	// again. Leaf-parents are in the dominating set but outside the
-	// surviving pseudoforest: they idle in lockstep while the rest runs
-	// Cole–Vishkin and the MIS sweep.
-	if removed && !leafParent {
-		pc.CommitNode(Out)
-		return false, true
-	}
-	if removed && leafParent {
-		pc.StepN(coloring.CVRounds(bits) + 6)
-		return true, false
-	}
-	color := coloring.CV6(pc, view.ID, bits, cvParent)
-	join := coloring.MISSweep(pc, 6, color)
-	if leafParent || join {
-		return true, false
-	}
-	pc.CommitNode(Out)
-	return false, true
+	n.mis = coloring.NewMIS(n.view.ID, n.view.N, n.view.MaxDegree)
+	n.phase = phaseFinish
 }
 
 // iterationRounds is the fixed lockstep length of one halving iteration.

@@ -5,21 +5,21 @@
 // records, for every node and every edge, the round at which its output was
 // committed — the "computation time" T_v, T_e of Definition 1.
 //
-// Two executors with identical semantics are provided: a sequential
-// frontier executor (fast, allocation-light) and a concurrent one that runs
-// one goroutine per node with channel-based round barriers — the natural Go
-// rendering of synchronous message passing. Node programs are pure
-// functions of their local state, inbox and node-private PRNG, so both
-// executors produce bit-identical results; a property test asserts this.
+// Node programs are state machines (Program): the engine calls Round once
+// per synchronous round with the node's inbox, and a program keeps whatever
+// phase, counters and scratch it needs between calls. Programs are pure
+// functions of their local state, inbox and node-private PRNG, so a run is
+// reproducible bit for bit; a test checks the executor against an
+// independent naive reference implementation.
 //
-// The frontier executor maintains an active worklist holding exactly the
-// nodes that have not halted; a node leaves the worklist at its halt round
-// (the frontier invariant), so the cost of a round is proportional to the
-// surviving frontier, not to n. Under the paper's node-averaged regime —
+// The executor is sequential and keeps an active worklist holding exactly
+// the nodes that have not halted; a node leaves the worklist at its halt
+// round (the frontier invariant), so the cost of a round is proportional
+// to the surviving frontier, not to n. Under the paper's node-averaged regime —
 // where all but a vanishing fraction of nodes finish in O(1) rounds — total
 // simulation work is Θ(Σ_v T_v) instead of Θ(n · max_v T_v).
 //
-// Engine binds an executor to one graph and reuses its internal arenas
+// Engine binds the executor to one graph and reuses its internal arenas
 // across runs, which makes repeated trials on the same graph (the shape of
 // every measurement loop in internal/core) allocation-light.
 package runtime
@@ -194,8 +194,6 @@ type Config struct {
 	// MaxRounds aborts the run if some node is still live after this many
 	// rounds. Zero selects a generous default based on n.
 	MaxRounds int
-	// Concurrent selects the goroutine-per-node executor.
-	Concurrent bool
 }
 
 // ErrRoundLimit is returned when a run exceeds its round budget.
@@ -237,9 +235,6 @@ func (e *Engine) Run(alg Algorithm, cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("runtime: got %d ids for %d nodes", len(cfg.IDs), e.ex.g.N())
 	}
 	e.ex.reset(alg, cfg)
-	if cfg.Concurrent {
-		return e.ex.runConcurrent()
-	}
 	return e.ex.runFrontier()
 }
 

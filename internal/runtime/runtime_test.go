@@ -3,9 +3,7 @@ package runtime_test
 import (
 	"errors"
 	"math/rand/v2"
-	"reflect"
 	"testing"
-	"testing/quick"
 
 	"avgloc/internal/alg/mis"
 	"avgloc/internal/graph"
@@ -223,45 +221,6 @@ func TestGhaffariProducesMIS(t *testing.T) {
 		if err := graph.IsMaximalIndependentSet(g, mis.SetFromResult(res)); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-	}
-}
-
-// Property: the sequential and concurrent executors produce bit-identical
-// ledgers on randomized algorithms.
-func TestSequentialEqualsConcurrent(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := rand.New(rand.NewPCG(seed, seed|1))
-		n := 10 + int(seed%40)
-		g := graph.GNP(n, 0.15, rng)
-		assignment := ids.RandomPerm(n, rng)
-		cfg := runtime.Config{IDs: assignment, Seed: seed * 7}
-		seq, err1 := runtime.Run(g, mis.Luby{}, cfg)
-		cfg.Concurrent = true
-		conc, err2 := runtime.Run(g, mis.Luby{}, cfg)
-		if err1 != nil || err2 != nil {
-			return false
-		}
-		return seq.Rounds == conc.Rounds &&
-			reflect.DeepEqual(seq.NodeCommit, conc.NodeCommit) &&
-			reflect.DeepEqual(seq.EdgeCommit, conc.EdgeCommit) &&
-			reflect.DeepEqual(seq.NodeOut, conc.NodeOut) &&
-			seq.Messages == conc.Messages
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestConcurrentLubyOnCycle(t *testing.T) {
-	rng := rand.New(rand.NewPCG(15, 16))
-	g := graph.Cycle(101)
-	res := run(t, g, mis.Luby{}, runtime.Config{
-		IDs:        ids.RandomPerm(g.N(), rng),
-		Seed:       99,
-		Concurrent: true,
-	})
-	if err := graph.IsMaximalIndependentSet(g, mis.SetFromResult(res)); err != nil {
-		t.Fatal(err)
 	}
 }
 
