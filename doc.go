@@ -38,7 +38,11 @@
 // deterministic algorithms (Linial, Kuhn–Wattenhofer, Cole–Vishkin, the
 // color-class MIS sweep) are resumable stages in internal/alg/coloring
 // that programs chain in lockstep. Engine reuse (runtime.NewEngine) keeps
-// all per-run buffers in graph-sized arenas across repeated trials.
+// all per-run buffers in graph-sized arenas across repeated trials: the
+// engine borrows the graph's CSR offsets and twin-arc array instead of
+// copying them, a Send writes straight into the receiver's slot of the
+// next-round buffer, and outputs are int32 columns whose commit ledger
+// (NodeCommit/EdgeCommit == -1) marks what was never committed.
 //
 // # Measurement distributions
 //

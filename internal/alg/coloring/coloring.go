@@ -511,7 +511,7 @@ func (s *MIS) Joined() bool { return s.sweep.Joined() }
 // [0, deg(v)] and keeps it if no uncolored neighbor tried the same color.
 // Each uncolored node succeeds with constant probability per phase, so the
 // node-averaged complexity is O(1) ([BT19], Section 1.2 of the paper).
-// Node outputs are int colors in [0, Δ+1).
+// Node outputs are int32 colors in [0, Δ+1).
 type RandGreedy struct{}
 
 // Name implements runtime.Algorithm.
@@ -561,7 +561,7 @@ func (n *randGreedyNode) Round(ctx *runtime.Context, inbox []runtime.Message) {
 	// resolve step: keep the tentative color unless an uncolored neighbor
 	// tried it too or a neighbor finalized it meanwhile.
 	if !conflict && !n.taken[n.tentative] {
-		ctx.CommitNode(int(n.tentative))
+		ctx.CommitNode(int32(n.tentative))
 		ctx.Broadcast(tryMsg{Color: n.tentative, Final: true})
 		ctx.Halt()
 	}

@@ -38,7 +38,7 @@ func (a cycleCV) Node(view runtime.NodeView) runtime.Program {
 	cv := coloring.NewCV6(view.ID, bits, parent)
 	return progFunc(func(ctx *runtime.Context, inbox []runtime.Message) {
 		if cv.Round(ctx, inbox) {
-			ctx.CommitNode(cv.Color())
+			ctx.CommitNode(int32(cv.Color()))
 			ctx.Halt()
 		}
 	})
@@ -53,7 +53,7 @@ func TestCV6OnCycle(t *testing.T) {
 		}
 		colors := make([]int, n)
 		for v, out := range res.NodeOut {
-			colors[v] = out.(int)
+			colors[v] = int(out)
 		}
 		if err := graph.IsProperColoring(g, colors, 6); err != nil {
 			t.Fatalf("n=%d: %v", n, err)
@@ -106,7 +106,7 @@ func (linialAlg) Node(view runtime.NodeView) runtime.Program {
 			inbox = nil
 		}
 		if kw.Round(ctx, inbox) {
-			ctx.CommitNode(int(kw.Color()))
+			ctx.CommitNode(int32(kw.Color()))
 			ctx.Halt()
 		}
 	})
@@ -128,7 +128,7 @@ func TestLinialPlusReduction(t *testing.T) {
 		}
 		colors := make([]int, g.N())
 		for v, out := range res.NodeOut {
-			colors[v] = out.(int)
+			colors[v] = int(out)
 		}
 		if err := graph.IsProperColoring(g, colors, g.MaxDegree()+1); err != nil {
 			t.Fatalf("workload %d (%s): %v", i, g, err)
@@ -166,7 +166,7 @@ func TestRandGreedyColoring(t *testing.T) {
 		}
 		colors := make([]int, g.N())
 		for v, out := range res.NodeOut {
-			colors[v] = out.(int)
+			colors[v] = int(out)
 		}
 		if err := graph.IsProperColoring(g, colors, g.MaxDegree()+1); err != nil {
 			t.Fatal(err)

@@ -115,7 +115,7 @@ func (d Det) Run(g *graph.Graph) (*runtime.Result, error) {
 			if !matched[u] && !matched[v] {
 				continue
 			}
-			s.CommitEdge(e, inM[e])
+			s.CommitEdge(e, output(inM[e]))
 			liveEdge[e] = false
 			liveEdges--
 			liveDeg[u]--

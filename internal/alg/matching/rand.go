@@ -11,8 +11,8 @@
 //     fractional-matching rounding, edge-averaged O(log²Δ + log* n) shape.
 //   - Greedy: a centralized oracle for tests.
 //
-// Matching is an edge-output problem: every edge commits true (in the
-// matching) or false. A node is complete (Definition 1) once all its
+// Matching is an edge-output problem: every edge commits In (int32 1, in
+// the matching) or Out (0). A node is complete (Definition 1) once all its
 // incident edges have committed.
 package matching
 
@@ -25,9 +25,17 @@ import (
 
 // Edge outputs.
 const (
-	In  = true
-	Out = false
+	In  int32 = 1
+	Out int32 = 0
 )
+
+// output is In for a member edge and Out otherwise.
+func output(member bool) int32 {
+	if member {
+		return In
+	}
+	return Out
+}
 
 // RandLuby is the Theorem 4 algorithm. Each phase takes 4 rounds:
 // degree exchange, marking, mark census, resolution.
@@ -155,7 +163,7 @@ func (n *randLubyNode) Round(ctx *runtime.Context, inbox []runtime.Message) {
 					if !l {
 						continue
 					}
-					ctx.CommitEdge(q, q == p)
+					ctx.CommitEdge(q, output(q == p))
 				}
 				ctx.Broadcast(matchedMsg{})
 				ctx.Halt()
@@ -263,7 +271,7 @@ func (n *iiNode) matchVia(ctx *runtime.Context, port int) {
 		if !l {
 			continue
 		}
-		ctx.CommitEdge(q, q == port)
+		ctx.CommitEdge(q, output(q == port))
 	}
 	ctx.Broadcast(matchedMsg{})
 	ctx.Halt()
@@ -294,9 +302,7 @@ func Greedy(g *graph.Graph, order []int) []bool {
 func SetFromResult(res *runtime.Result) []bool {
 	in := make([]bool, len(res.EdgeOut))
 	for e, out := range res.EdgeOut {
-		if b, ok := out.(bool); ok && b {
-			in[e] = true
-		}
+		in[e] = out == In
 	}
 	return in
 }

@@ -11,7 +11,8 @@
 //     shape (see DESIGN.md §3 for the substitution).
 //   - Greedy: a centralized sequential oracle used by tests.
 //
-// Node outputs are bool: true = in the MIS, false = covered by a neighbor.
+// Node outputs are int32: In (1) = in the MIS, Out (0) = covered by a
+// neighbor.
 package mis
 
 import (
@@ -23,8 +24,8 @@ import (
 
 // Output values committed by the MIS algorithms.
 const (
-	In  = true
-	Out = false
+	In  int32 = 1
+	Out int32 = 0
 )
 
 // phase sub-rounds shared by the randomized algorithms: candidates
@@ -219,9 +220,7 @@ func Greedy(g *graph.Graph, order []int) []bool {
 func SetFromResult(res *runtime.Result) []bool {
 	in := make([]bool, len(res.NodeOut))
 	for v, out := range res.NodeOut {
-		if b, ok := out.(bool); ok && b {
-			in[v] = true
-		}
+		in[v] = out == In
 	}
 	return in
 }

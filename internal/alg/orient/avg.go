@@ -159,7 +159,7 @@ func (d DetAveraged) Run(g *graph.Graph, ids []int64) (*runtime.Result, error) {
 		st.edgeRound[e] = now
 	}
 	for e := 0; e < g.M(); e++ {
-		st.s.CommitEdgeAt(e, int(st.toward[e]), int(st.edgeRound[e]))
+		st.s.CommitEdgeAt(e, st.toward[e], int(st.edgeRound[e]))
 	}
 	return st.s.Result()
 }

@@ -116,7 +116,7 @@ func (DetWorstCase) Run(g *graph.Graph, ids []int64) (*runtime.Result, error) {
 	s := locality.New(g)
 	s.Advance(locRadius, "global-cycle orientation locality (BFS depth + cycle length)")
 	for e := 0; e < g.M(); e++ {
-		s.CommitEdge(e, int(toward[e]))
+		s.CommitEdge(e, toward[e])
 	}
 	return s.Result()
 }

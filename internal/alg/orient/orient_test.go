@@ -18,10 +18,10 @@ func orientationFromResult(t *testing.T, g *graph.Graph, res *runtime.Result) *g
 	t.Helper()
 	o := graph.NewOrientation(g)
 	for e := 0; e < g.M(); e++ {
-		to, ok := res.EdgeOut[e].(int)
-		if !ok {
-			t.Fatalf("edge %d output %v not an int", e, res.EdgeOut[e])
+		if res.EdgeCommit[e] < 0 {
+			t.Fatalf("edge %d never committed", e)
 		}
+		to := int(res.EdgeOut[e])
 		u, v := g.Endpoints(e)
 		from := u
 		if to == u {
@@ -125,7 +125,7 @@ func TestRandMarkingProperty(t *testing.T) {
 		}
 		o := graph.NewOrientation(g)
 		for e := 0; e < g.M(); e++ {
-			to := res.EdgeOut[e].(int)
+			to := int(res.EdgeOut[e])
 			u, v := g.Endpoints(e)
 			from := u
 			if to == u {
@@ -153,7 +153,7 @@ func TestDetAveragedProperty(t *testing.T) {
 		}
 		o := graph.NewOrientation(g)
 		for e := 0; e < g.M(); e++ {
-			to := res.EdgeOut[e].(int)
+			to := int(res.EdgeOut[e])
 			u, v := g.Endpoints(e)
 			from := u
 			if to == u {

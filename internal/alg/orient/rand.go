@@ -175,7 +175,7 @@ func (r RandMarking) Run(g *graph.Graph, ids []int64, seed uint64) (*runtime.Res
 			}
 			edgeRound[e] = now
 		}
-		s.CommitEdgeAt(e, int(toward[e]), int(edgeRound[e]))
+		s.CommitEdgeAt(e, toward[e], int(edgeRound[e]))
 	}
 	return s.Result()
 }

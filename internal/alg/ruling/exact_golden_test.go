@@ -87,10 +87,12 @@ func exactIDs(i, n int) []struct {
 	}
 }
 
-// resultHash digests everything a run reports about nodes.
+// resultHash digests everything a run reports about nodes. Outputs enter
+// as the membership vector: mis and ruling share In == 1, and a []bool
+// prints exactly as the untyped outputs the golden was written from did.
 func resultHash(res *runtime.Result) string {
 	h := sha256.New()
-	fmt.Fprint(h, res.Rounds, res.NodeCommit, res.NodeHalt, res.NodeOut, res.Messages)
+	fmt.Fprint(h, res.Rounds, res.NodeCommit, res.NodeHalt, ruling.SetFromResult(res), res.Messages)
 	return fmt.Sprintf("%x", h.Sum(nil))
 }
 

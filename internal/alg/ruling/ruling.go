@@ -11,7 +11,7 @@
 // via repeated dominating-set halving (the pseudoforest algorithm of
 // footnote 7) followed by an MIS finisher on the few remaining nodes.
 //
-// Node outputs are bool: true = in the ruling set.
+// Node outputs are int32: In (1) = in the ruling set, Out (0) = not.
 package ruling
 
 import (
@@ -24,8 +24,8 @@ import (
 
 // Output values.
 const (
-	In  = true
-	Out = false
+	In  int32 = 1
+	Out int32 = 0
 )
 
 // Rand22 is the Theorem 2 algorithm. Each phase takes 5 rounds:
@@ -412,9 +412,7 @@ func bitsFor64(v int64) int {
 func SetFromResult(res *runtime.Result) []bool {
 	in := make([]bool, len(res.NodeOut))
 	for v, out := range res.NodeOut {
-		if b, ok := out.(bool); ok && b {
-			in[v] = true
-		}
+		in[v] = out == In
 	}
 	return in
 }

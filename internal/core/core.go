@@ -29,7 +29,7 @@ type Problem struct {
 	Validate func(g *graph.Graph, res *runtime.Result) error
 }
 
-// MIS is the maximal independent set problem (bool node outputs).
+// MIS is the maximal independent set problem (mis.In/Out node outputs).
 var MIS = Problem{
 	Name: "mis",
 	Kind: runtime.NodeOutputs,
@@ -49,7 +49,8 @@ func RulingSet(beta int) Problem {
 	}
 }
 
-// MaximalMatching is the maximal matching problem (bool edge outputs).
+// MaximalMatching is the maximal matching problem (matching.In/Out edge
+// outputs).
 var MaximalMatching = Problem{
 	Name: "matching",
 	Kind: runtime.EdgeOutputs,
@@ -58,7 +59,7 @@ var MaximalMatching = Problem{
 	},
 }
 
-// Coloring returns the c-coloring problem (int node outputs).
+// Coloring returns the c-coloring problem (int32 node outputs).
 func Coloring(c int) Problem {
 	return Problem{
 		Name: fmt.Sprintf("coloring(%d)", c),
@@ -66,11 +67,12 @@ func Coloring(c int) Problem {
 		Validate: func(g *graph.Graph, res *runtime.Result) error {
 			colors := make([]int, g.N())
 			for v, out := range res.NodeOut {
-				x, ok := out.(int)
-				if !ok {
-					return fmt.Errorf("core: node %d output %v not a color", v, out)
+				// An uncommitted output reads 0, a valid color: only the
+				// commit ledger tells the two apart.
+				if res.NodeCommit[v] < 0 {
+					return fmt.Errorf("core: node %d committed no color", v)
 				}
-				colors[v] = x
+				colors[v] = int(out)
 			}
 			return graph.IsProperColoring(g, colors, c)
 		},
@@ -78,17 +80,19 @@ func Coloring(c int) Problem {
 }
 
 // SinklessOrientation is the sinkless orientation problem for minimum
-// degree 3 (edge outputs: the target node index).
+// degree 3 (int32 edge outputs: the target node index).
 var SinklessOrientation = Problem{
 	Name: "sinkless",
 	Kind: runtime.EdgeOutputs,
 	Validate: func(g *graph.Graph, res *runtime.Result) error {
 		o := graph.NewOrientation(g)
 		for e := 0; e < g.M(); e++ {
-			to, ok := res.EdgeOut[e].(int)
-			if !ok {
-				return fmt.Errorf("core: edge %d output %v not a node index", e, res.EdgeOut[e])
+			// An uncommitted output reads 0, a valid node index: only the
+			// commit ledger tells the two apart.
+			if res.EdgeCommit[e] < 0 {
+				return fmt.Errorf("core: edge %d committed no orientation", e)
 			}
+			to := int(res.EdgeOut[e])
 			u, v := g.Endpoints(e)
 			from := u
 			if to == u {

@@ -56,7 +56,7 @@ func (badAlg) Node(runtime.NodeView) runtime.Program {
 type badProg struct{}
 
 func (badProg) Round(ctx *runtime.Context, _ []runtime.Message) {
-	ctx.CommitNode(true)
+	ctx.CommitNode(mis.In)
 	ctx.Halt()
 }
 
@@ -83,8 +83,8 @@ func TestMeasurePropagatesOneSidedError(t *testing.T) {
 		return &runtime.Result{
 			NodeCommit: []int32{-1, -1},
 			EdgeCommit: []int32{-1},
-			NodeOut:    make([]any, 2),
-			EdgeOut:    make([]any, 1),
+			NodeOut:    make([]int32, 2),
+			EdgeOut:    make([]int32, 1),
 		}, nil
 	})
 	_, err := core.Measure(g, prob, runner, core.MeasureOptions{Trials: 1})
@@ -106,6 +106,57 @@ func TestSinklessRunnersOnSmallGraph(t *testing.T) {
 		}
 		if rep.WorstMax < 0 {
 			t.Fatalf("%s: negative rounds", r.Name())
+		}
+	}
+}
+
+// TestValidatorsRejectUncommittedZeros: an uncommitted output reads 0,
+// which is a valid color and a valid node index, so the coloring and
+// sinkless validators must consult the commit ledger. Each case starts
+// from a hand-built valid Result and then uncommits one output whose value
+// is 0.
+func TestValidatorsRejectUncommittedZeros(t *testing.T) {
+	path := graph.Path(3)
+	coloring := &runtime.Result{
+		NodeCommit: []int32{0, 0, 0},
+		EdgeCommit: []int32{-1, -1},
+		NodeOut:    []int32{0, 1, 0},
+		EdgeOut:    make([]int32, 2),
+	}
+	k4 := graph.Complete(4)
+	sinkless := &runtime.Result{
+		NodeCommit: []int32{-1, -1, -1, -1},
+		EdgeCommit: make([]int32, k4.M()),
+		NodeOut:    make([]int32, 4),
+		EdgeOut:    make([]int32, k4.M()),
+	}
+	zeroEdge := -1
+	for e := 0; e < k4.M(); e++ {
+		// Every edge points at its larger endpoint except {0,3}, which
+		// points at 0: each node keeps an outgoing edge.
+		u, v := k4.Endpoints(e)
+		sinkless.EdgeOut[e] = int32(v)
+		if u == 0 && v == 3 {
+			sinkless.EdgeOut[e], zeroEdge = 0, e
+		}
+	}
+	for _, tc := range []struct {
+		name     string
+		g        *graph.Graph
+		prob     core.Problem
+		res      *runtime.Result
+		uncommit func()
+	}{
+		{"coloring", path, core.Coloring(2), coloring, func() { coloring.NodeCommit[0] = -1 }},
+		{"sinkless", k4, core.SinklessOrientation, sinkless, func() { sinkless.EdgeCommit[zeroEdge] = -1 }},
+	} {
+		if err := tc.prob.Validate(tc.g, tc.res); err != nil {
+			t.Fatalf("%s: valid result rejected: %v", tc.name, err)
+		}
+		tc.uncommit()
+		err := tc.prob.Validate(tc.g, tc.res)
+		if err == nil || !strings.Contains(err.Error(), "committed no") {
+			t.Fatalf("%s: uncommitted zero output not rejected: %v", tc.name, err)
 		}
 	}
 }

@@ -167,6 +167,14 @@ func (g *Graph) Neighbors(v int) []int32 {
 	return g.neigh[g.offsets[v]:g.offsets[v+1]]
 }
 
+// Arcs returns the CSR arc layout: node v's port p is arc offsets[v]+p,
+// so v's arcs are offsets[v]..offsets[v+1]-1, and twin[a] is the reverse
+// arc of a (the arc at which the neighbor across a sees v). The returned
+// slices alias internal storage and must not be modified.
+func (g *Graph) Arcs() (offsets, twin []int32) {
+	return g.offsets, g.twin
+}
+
 // EdgeIDs returns the per-port edge ids of v. The returned slice aliases
 // internal storage and must not be modified.
 func (g *Graph) EdgeIDs(v int) []int32 {

@@ -50,10 +50,12 @@ func (g *Graph) MarshalBinary() ([]byte, error) {
 
 // UnmarshalBinary decodes a MarshalBinary image into g, replacing its
 // contents. The image is fully validated — array lengths, offset
-// monotonicity, arc/edge bounds, twin-arc involution, per-arc endpoint
-// consistency with the edge table, and the cached maximum degree — so a
-// successfully decoded graph is a verified Graph, not trusted bytes. (Disk
-// checksums catch corruption; this catches version or logic skew.)
+// monotonicity, arc/edge bounds, twin-arc involution, every edge id carried
+// by exactly one twin pair of arcs, per-arc endpoint consistency with the
+// edge table, and the cached maximum degree — so a successfully decoded
+// graph is a verified Graph, not trusted bytes. (Disk checksums catch
+// corruption; this catches version or logic skew.) The round engine indexes
+// the twin array directly, so these checks are what it relies on.
 func (g *Graph) UnmarshalBinary(data []byte) error {
 	if len(data) < headerSize || string(data[:len(csrMagic)]) != csrMagic {
 		return fmt.Errorf("graph: decode: not a CSR image")
@@ -95,11 +97,16 @@ func (g *Graph) UnmarshalBinary(data []byte) error {
 	if offsets[0] != 0 || offsets[n] != int32(2*m) {
 		return fmt.Errorf("graph: decode: offsets span [%d, %d], want [0, %d]", offsets[0], offsets[n], 2*m)
 	}
-	seenDeg := 0
+	// Monotone offsets between 0 and 2m keep every node's arc range, the
+	// twin's included, inside the arc arrays.
 	for v := 0; v < n; v++ {
 		if offsets[v+1] < offsets[v] {
 			return fmt.Errorf("graph: decode: offsets not monotone at node %d", v)
 		}
+	}
+	seenDeg := 0
+	arcsOf := make([]int32, m) // arcs carrying each edge id
+	for v := 0; v < n; v++ {
 		if d := int(offsets[v+1] - offsets[v]); d > seenDeg {
 			seenDeg = d
 		}
@@ -121,6 +128,15 @@ func (g *Graph) UnmarshalBinary(data []byte) error {
 			if eu[e] != lo || ev[e] != hi {
 				return fmt.Errorf("graph: decode: edge %d endpoints (%d,%d) disagree with arc {%d,%d}", e, eu[e], ev[e], lo, hi)
 			}
+			arcsOf[e]++
+		}
+	}
+	// Every arc's twin carries the same edge id, so a count of exactly two
+	// means the edge sits on one twin pair: no edge id is orphaned (its
+	// endpoints unchecked) or shared by two physical edges.
+	for e, k := range arcsOf {
+		if k != 2 {
+			return fmt.Errorf("graph: decode: edge %d carried by %d arcs, want 2", e, k)
 		}
 	}
 	if seenDeg != maxDeg {

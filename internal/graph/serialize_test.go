@@ -1,6 +1,7 @@
 package graph_test
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -124,4 +125,68 @@ func TestUnmarshalRejectsDamage(t *testing.T) {
 		img[off] ^= 0x55
 		check("bit flip", img)
 	}
+}
+
+// FuzzUnmarshalBinary feeds arbitrary images to the decoder. An accepted
+// image must be a consistent Graph: it re-marshals to the same bytes, and
+// every arc agrees with its twin and with its edge's endpoints, with each
+// edge id on exactly two arcs. Code that indexes by edge endpoints or twin
+// arcs (the validators, the round engine) trusts exactly these facts. The
+// checked-in corpus under testdata/fuzz holds an image whose orphaned edge
+// id once decoded with out-of-range endpoints.
+func FuzzUnmarshalBinary(f *testing.F) {
+	rng := rand.New(rand.NewPCG(3, 5))
+	multi := graph.NewBuilder(3)
+	multi.AddEdge(0, 1)
+	multi.AddEdge(1, 0)
+	multi.AddEdge(1, 2)
+	for _, g := range []*graph.Graph{
+		graph.NewBuilder(0).MustBuild(),
+		graph.NewBuilder(3).MustBuild(),
+		graph.Path(4),
+		graph.Cycle(5),
+		graph.Complete(4),
+		multi.MustBuild(),
+		graph.RandomTree(12, rng),
+		graph.RandomRegular(10, 3, rng),
+	} {
+		data, err := g.MarshalBinary()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(data[:len(data)-1])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var g graph.Graph
+		if err := g.UnmarshalBinary(data); err != nil {
+			return
+		}
+		back, err := g.MarshalBinary()
+		if err != nil || !bytes.Equal(back, data) {
+			t.Fatalf("accepted image does not re-marshal to itself (err %v)", err)
+		}
+		arcs := make([]int, g.M())
+		for v := 0; v < g.N(); v++ {
+			for p := 0; p < g.Deg(v); p++ {
+				u, e, q := g.Neighbor(v, p), g.EdgeID(v, p), g.TwinPort(v, p)
+				if a, b := g.Endpoints(e); !(a == v && b == u) && !(a == u && b == v) {
+					t.Fatalf("arc (%d,%d) joins %d-%d but edge %d has endpoints (%d,%d)", v, p, v, u, e, a, b)
+				}
+				if g.Neighbor(u, q) != v || g.EdgeID(u, q) != e {
+					t.Fatalf("arc (%d,%d) has an inconsistent twin", v, p)
+				}
+				arcs[e]++
+			}
+		}
+		for e, k := range arcs {
+			if k != 2 {
+				t.Fatalf("edge %d carried by %d arcs", e, k)
+			}
+		}
+		if err := graph.IsIndependentSet(&g, make([]bool, g.N())); err != nil {
+			t.Fatalf("empty set rejected: %v", err)
+		}
+	})
 }

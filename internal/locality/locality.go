@@ -28,8 +28,8 @@ type Sim struct {
 	charges    []Charge
 	nodeCommit []int32
 	edgeCommit []int32
-	nodeOut    []any
-	edgeOut    []any
+	nodeOut    []int32
+	edgeOut    []int32
 	errs       []error
 }
 
@@ -46,8 +46,8 @@ func New(g *graph.Graph) *Sim {
 		g:          g,
 		nodeCommit: make([]int32, n),
 		edgeCommit: make([]int32, m),
-		nodeOut:    make([]any, n),
-		edgeOut:    make([]any, m),
+		nodeOut:    make([]int32, n),
+		edgeOut:    make([]int32, m),
 	}
 	for i := range s.nodeCommit {
 		s.nodeCommit[i] = -1
@@ -79,7 +79,7 @@ func (s *Sim) Advance(rounds int, reason string) {
 func (s *Sim) Charges() []Charge { return s.charges }
 
 // CommitNode fixes node v's output at the current clock.
-func (s *Sim) CommitNode(v int, out any) {
+func (s *Sim) CommitNode(v int, out int32) {
 	if s.nodeCommit[v] >= 0 {
 		s.errs = append(s.errs, fmt.Errorf("locality: node %d committed twice (round %d)", v, s.clock))
 		return
@@ -89,7 +89,7 @@ func (s *Sim) CommitNode(v int, out any) {
 }
 
 // CommitEdge fixes edge e's output at the current clock.
-func (s *Sim) CommitEdge(e int, out any) {
+func (s *Sim) CommitEdge(e int, out int32) {
 	if s.edgeCommit[e] >= 0 {
 		s.errs = append(s.errs, fmt.Errorf("locality: edge %d committed twice (round %d)", e, s.clock))
 		return
@@ -101,7 +101,7 @@ func (s *Sim) CommitEdge(e int, out any) {
 // CommitNodeAt fixes node v's output at a specific past round (the round
 // the information determining the output was available); round must not
 // exceed the current clock.
-func (s *Sim) CommitNodeAt(v int, out any, round int) {
+func (s *Sim) CommitNodeAt(v int, out int32, round int) {
 	if round < 0 || round > int(s.clock) {
 		s.errs = append(s.errs, fmt.Errorf("locality: node %d commit at %d outside [0,%d]", v, round, s.clock))
 		return
@@ -115,7 +115,7 @@ func (s *Sim) CommitNodeAt(v int, out any, round int) {
 }
 
 // CommitEdgeAt fixes edge e's output at a specific past round.
-func (s *Sim) CommitEdgeAt(e int, out any, round int) {
+func (s *Sim) CommitEdgeAt(e int, out int32, round int) {
 	if round < 0 || round > int(s.clock) {
 		s.errs = append(s.errs, fmt.Errorf("locality: edge %d commit at %d outside [0,%d]", e, round, s.clock))
 		return

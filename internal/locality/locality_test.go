@@ -1,6 +1,7 @@
 package locality_test
 
 import (
+	"reflect"
 	"testing"
 
 	"avgloc/internal/graph"
@@ -13,13 +14,13 @@ func TestClockAndCommits(t *testing.T) {
 	if s.Clock() != 0 {
 		t.Fatalf("fresh clock %d", s.Clock())
 	}
-	s.CommitNode(0, "early")
+	s.CommitNode(0, 11)
 	s.Advance(5, "phase one")
-	s.CommitNode(1, "mid")
-	s.CommitEdge(0, true)
+	s.CommitNode(1, 12)
+	s.CommitEdge(0, 1)
 	s.Advance(3, "phase two")
-	s.CommitNodeAt(2, "backdated", 5)
-	s.CommitEdgeAt(1, false, 6)
+	s.CommitNodeAt(2, 13, 5)
+	s.CommitEdgeAt(1, 0, 6)
 	res, err := s.Result()
 	if err != nil {
 		t.Fatal(err)
@@ -35,6 +36,9 @@ func TestClockAndCommits(t *testing.T) {
 	}
 	if res.EdgeCommit[0] != 5 || res.EdgeCommit[1] != 6 {
 		t.Fatalf("edge commits %v", res.EdgeCommit)
+	}
+	if !reflect.DeepEqual(res.NodeOut, []int32{11, 12, 13}) || !reflect.DeepEqual(res.EdgeOut, []int32{1, 0}) {
+		t.Fatalf("outputs %v / %v", res.NodeOut, res.EdgeOut)
 	}
 	if len(s.Charges()) != 2 || s.Charges()[0].Rounds != 5 {
 		t.Fatalf("charges %v", s.Charges())
@@ -66,8 +70,8 @@ func TestErrorsAreSticky(t *testing.T) {
 	}
 
 	s4 := locality.New(g)
-	s4.CommitEdge(0, true)
-	s4.CommitEdge(0, false)
+	s4.CommitEdge(0, 1)
+	s4.CommitEdge(0, 0)
 	if _, err := s4.Result(); err == nil {
 		t.Fatal("double edge commit accepted")
 	}

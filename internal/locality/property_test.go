@@ -1,7 +1,6 @@
 package locality_test
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -16,7 +15,7 @@ type op struct {
 	kind  int // 0 advance, 1 commit node, 2 commit edge
 	id    int
 	round int // commit round; -1 = current clock
-	out   any
+	out   int32
 }
 
 // randomOps draws a valid operation sequence for g: each node and edge is
@@ -36,7 +35,7 @@ func randomOps(g *graph.Graph, rng *rand.Rand) []op {
 		case len(nodes) > 0 && (len(edges) == 0 || rng.IntN(2) == 0):
 			v := nodes[0]
 			nodes = nodes[1:]
-			o := op{kind: 1, id: v, round: -1, out: fmt.Sprintf("n%d", v)}
+			o := op{kind: 1, id: v, round: -1, out: int32(7*v + 1)}
 			if clock > 0 && rng.IntN(2) == 0 {
 				o.round = rng.IntN(clock + 1)
 			}
@@ -44,7 +43,7 @@ func randomOps(g *graph.Graph, rng *rand.Rand) []op {
 		default:
 			e := edges[0]
 			edges = edges[1:]
-			o := op{kind: 2, id: e, round: -1, out: e * 3}
+			o := op{kind: 2, id: e, round: -1, out: int32(e * 3)}
 			if clock > 0 && rng.IntN(2) == 0 {
 				o.round = rng.IntN(clock + 1)
 			}
@@ -182,12 +181,12 @@ func TestPropertyViewRadiusEquivalence(t *testing.T) {
 			commitLive := func(clock int) {
 				for v, r := range nodeRound {
 					if r == clock {
-						live.CommitNode(v, v*7)
+						live.CommitNode(v, int32(v*7))
 					}
 				}
 				for e, r := range edgeRound {
 					if r == clock {
-						live.CommitEdge(e, e%2 == 0)
+						live.CommitEdge(e, int32(e%2))
 					}
 				}
 			}
@@ -204,10 +203,10 @@ func TestPropertyViewRadiusEquivalence(t *testing.T) {
 				back.Advance(p, "phase")
 			}
 			for _, v := range rng.Perm(g.N()) {
-				back.CommitNodeAt(v, v*7, nodeRound[v])
+				back.CommitNodeAt(v, int32(v*7), nodeRound[v])
 			}
 			for _, e := range rng.Perm(g.M()) {
-				back.CommitEdgeAt(e, e%2 == 0, edgeRound[e])
+				back.CommitEdgeAt(e, int32(e%2), edgeRound[e])
 			}
 
 			ra, err := live.Result()
@@ -240,8 +239,8 @@ func TestPropertyCommitOrderIrrelevant(t *testing.T) {
 			s := locality.New(g)
 			s.Advance(4, "all phases")
 			for _, v := range perm {
-				s.CommitNodeAt(v, v, rounds[v])
-				s.CommitEdgeAt(v, v, rounds[v]) // cycle: m == n
+				s.CommitNodeAt(v, int32(v), rounds[v])
+				s.CommitEdgeAt(v, int32(v), rounds[v]) // cycle: m == n
 			}
 			return s
 		}

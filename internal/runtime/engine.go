@@ -1,44 +1,46 @@
 package runtime
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 
 	"avgloc/internal/graph"
 )
 
-// execution holds the mutable state of one run. Its buffers are carved out
-// of a handful of shared arenas sized from the graph's arc structure, so
-// engine setup performs O(1) allocations per run instead of O(1) per node,
-// and an execution bound to a graph can be reset and reused across trials
-// (see Engine).
+// execution holds the mutable state of one run. Its buffers are a handful
+// of arenas sized once from the graph — arc-indexed ones for what lives on
+// ports, node-indexed ones for what lives on nodes — so engine setup
+// performs O(1) allocations, and an execution bound to a graph can be reset
+// and reused across trials (see Engine). The topology is not copied: node
+// v's port p is arc offsets[v]+p of the graph's own CSR layout, and a
+// message sent on arc a lands in the receiver's inbox slot twin[a].
 type execution struct {
-	g   *graph.Graph
-	alg Algorithm
-	cfg Config
+	g         *graph.Graph
+	alg       Algorithm
+	maxRounds int
+	round     int32 // the round being executed
 
-	// Static topology, computed once per graph.
-	arcOff  []int32 // len n+1: prefix sums of degrees
-	scatter []int32 // arc (v,p) -> destination arc index at the receiver
+	// Topology borrowed from the graph (graph.Arcs); never written.
+	offsets []int32 // len n+1
+	twin    []int32 // len arcs
 
-	// Message double buffer, len arcs each.
-	cur  []Message
-	next []Message
+	// Arc-indexed arenas. cur holds each arc's inbox slot for this round;
+	// Send writes the next round's slot of the receiving arc directly.
+	cur       []Message
+	next      []Message
+	sentAt    []int32 // round of the last Send on each sender arc; -1 before any
+	edgeOut   []int32 // CommitEdge output per sender arc
+	edgeRound []int32 // CommitEdge round per sender arc; -1 = uncommitted
+	nbrIDs    []int64 // NeighborIDs arena
 
-	// Per-node state. ctxs, views, rngs and pcgs are dense arenas; the
-	// per-node slices (NeighborIDs, outbox, edge ledgers) are windows into
-	// the shared arc-indexed arenas below.
-	progs     []Program
-	ctxs      []Context
-	views     []NodeView
-	rngs      []rand.Rand
-	pcgs      []rand.PCG
-	nbrIDs    []int64   // len arcs: NeighborIDs arena
-	outbox    []Message // len arcs: Context.outbox arena
-	edgeOut   []Message // len arcs: Context.edgeOut arena
-	edgeSet   []bool    // len arcs: Context.edgeSet arena
-	edgeRound []int32   // len arcs: Context.edgeRound arena
-
+	// Node-indexed arenas.
+	progs  []Program
+	ctxs   []Context
+	views  []NodeView
+	rngs   []rand.Rand
+	pcgs   []rand.PCG
 	haltAt []int32
 
 	// active is the frontier worklist: exactly the nodes that have not
@@ -47,72 +49,71 @@ type execution struct {
 	// rather than O(n).
 	active []int32
 
-	maxRounds int
+	messages int64     // messages sent so far
+	errs     []nodeErr // run errors, in the order they were recorded
+}
+
+// nodeErr is a run error recorded by node v.
+type nodeErr struct {
+	v   int32
+	err error
 }
 
 // newExecution allocates an execution for g. Only topology-independent
 // sizing happens here; per-run state is installed by reset. Setup is
-// O(n + m): the Δ lookup is a cached graph attribute and every per-node
-// buffer is a window into a shared arena.
+// O(n + m) and copies nothing from the graph: the Δ lookup is a cached
+// graph attribute and the arc layout is the graph's own.
 func newExecution(g *graph.Graph) *execution {
 	n := g.N()
-	ex := &execution{
-		g:      g,
-		arcOff: make([]int32, n+1),
-		progs:  make([]Program, n),
-		ctxs:   make([]Context, n),
-		views:  make([]NodeView, n),
-		rngs:   make([]rand.Rand, n),
-		pcgs:   make([]rand.PCG, n),
-		haltAt: make([]int32, n),
-		active: make([]int32, n),
+	offsets, twin := g.Arcs()
+	arcs := len(twin)
+	return &execution{
+		g:         g,
+		offsets:   offsets,
+		twin:      twin,
+		cur:       make([]Message, arcs),
+		next:      make([]Message, arcs),
+		sentAt:    make([]int32, arcs),
+		edgeOut:   make([]int32, arcs),
+		edgeRound: make([]int32, arcs),
+		nbrIDs:    make([]int64, arcs),
+		progs:     make([]Program, n),
+		ctxs:      make([]Context, n),
+		views:     make([]NodeView, n),
+		rngs:      make([]rand.Rand, n),
+		pcgs:      make([]rand.PCG, n),
+		haltAt:    make([]int32, n),
+		active:    make([]int32, n),
 	}
-	for v := 0; v < n; v++ {
-		ex.arcOff[v+1] = ex.arcOff[v] + int32(g.Deg(v))
-	}
-	arcs := int(ex.arcOff[n])
-	ex.scatter = make([]int32, arcs)
-	for v := 0; v < n; v++ {
-		for p := 0; p < g.Deg(v); p++ {
-			u := g.Neighbor(v, p)
-			q := g.TwinPort(v, p)
-			ex.scatter[ex.arcOff[v]+int32(p)] = ex.arcOff[u] + int32(q)
-		}
-	}
-	ex.cur = make([]Message, arcs)
-	ex.next = make([]Message, arcs)
-	ex.nbrIDs = make([]int64, arcs)
-	ex.outbox = make([]Message, arcs)
-	ex.edgeOut = make([]Message, arcs)
-	ex.edgeSet = make([]bool, arcs)
-	ex.edgeRound = make([]int32, arcs)
-	return ex
 }
 
 // reset installs a fresh run of alg under cfg, reusing every arena. After
-// reset the execution is in the same state a freshly built seed-engine
-// execution would be in.
+// reset the execution is in the same state a freshly built execution would
+// be in.
 func (ex *execution) reset(alg Algorithm, cfg Config) {
 	g := ex.g
 	n := g.N()
 	ex.alg = alg
-	ex.cfg = cfg
 	ex.maxRounds = cfg.MaxRounds
 	if ex.maxRounds <= 0 {
 		ex.maxRounds = DefaultMaxRounds(n)
 	}
+	ex.round = 0
+	ex.messages = 0
+	ex.errs = nil
 	// Message buffers may hold leftovers from an aborted run; per-step
 	// inbox clearing only guarantees cleanliness for completed runs.
 	clear(ex.cur)
 	clear(ex.next)
-	clear(ex.outbox)
 	clear(ex.edgeOut)
-	clear(ex.edgeSet)
-	clear(ex.edgeRound)
+	for a := range ex.sentAt {
+		ex.sentAt[a] = -1
+		ex.edgeRound[a] = -1
+	}
 	ex.active = ex.active[:cap(ex.active)]
 	maxDeg := g.MaxDegree()
 	for v := 0; v < n; v++ {
-		lo, hi := ex.arcOff[v], ex.arcOff[v+1]
+		lo, hi := ex.offsets[v], ex.offsets[v+1]
 		nbr := ex.nbrIDs[lo:hi:hi]
 		for p, u := range g.Neighbors(v) {
 			nbr[p] = cfg.IDs[u]
@@ -127,37 +128,22 @@ func (ex *execution) reset(alg Algorithm, cfg Config) {
 			MaxDegree:   maxDeg,
 			Rand:        &ex.rngs[v],
 		}
-		ex.ctxs[v] = Context{
-			view:      &ex.views[v],
-			outbox:    ex.outbox[lo:hi:hi],
-			nodeRound: -1,
-			edgeOut:   ex.edgeOut[lo:hi:hi],
-			edgeSet:   ex.edgeSet[lo:hi:hi],
-			edgeRound: ex.edgeRound[lo:hi:hi],
-		}
+		ex.ctxs[v] = Context{ex: ex, v: int32(v), base: lo, nodeRound: -1}
 		ex.haltAt[v] = -1
 		ex.active[v] = int32(v)
 		ex.progs[v] = alg.Node(ex.views[v])
 	}
 }
 
-// step runs node v for the given round against the current inbox and
-// scatters its outbox. The inbox is cleared after delivery, which keeps the
-// double buffer clean without a full O(m) sweep per round: a slot is
-// non-nil only while it carries an undelivered message for a live node.
-func (ex *execution) step(v int, round int32) {
-	ctx := &ex.ctxs[v]
-	ctx.round = round
-	inbox := ex.cur[ex.arcOff[v]:ex.arcOff[v+1]]
-	ex.progs[v].Round(ctx, inbox)
+// step runs node v for the current round against its inbox; its sends
+// have already landed in the next-round buffer when Round returns. The
+// inbox is cleared after delivery, which keeps the double buffer clean
+// without a full O(m) sweep per round: a slot is non-nil only while it
+// carries an undelivered message for a live node.
+func (ex *execution) step(v int32) {
+	inbox := ex.cur[ex.offsets[v]:ex.offsets[v+1]]
+	ex.progs[v].Round(&ex.ctxs[v], inbox)
 	clear(inbox)
-	base := ex.arcOff[v]
-	for p, m := range ctx.outbox {
-		if m != nil {
-			ex.next[ex.scatter[base+int32(p)]] = m
-			ctx.outbox[p] = nil
-		}
-	}
 }
 
 // flip swaps the message buffers. Stale slots need no sweep: step clears
@@ -174,11 +160,11 @@ func (ex *execution) flip() {
 // node-averaged structure of the paper — when most nodes finish in O(1)
 // rounds, most of the simulation's work is over after O(1) rounds too.
 func (ex *execution) runFrontier() (*Result, error) {
-	round := int32(0)
 	for {
+		round := ex.round
 		w := 0
 		for _, v := range ex.active {
-			ex.step(int(v), round)
+			ex.step(v)
 			if ex.ctxs[v].halted {
 				ex.haltAt[v] = round
 			} else {
@@ -195,13 +181,14 @@ func (ex *execution) runFrontier() (*Result, error) {
 				ErrRoundLimit, ex.alg.Name(), ex.maxRounds, ex.g)
 		}
 		ex.flip()
-		round++
+		ex.round++
 	}
 }
 
 // collect merges the per-node ledgers into a Result. Every slice placed in
 // the Result is freshly allocated: the execution's arenas are reused by the
-// next reset, so nothing in a Result may alias them.
+// next reset, so nothing in a Result may alias them. Run errors are
+// reported in node order, each node's in the order it recorded them.
 func (ex *execution) collect(rounds int) (*Result, error) {
 	n, m := ex.g.N(), ex.g.M()
 	res := &Result{
@@ -209,36 +196,39 @@ func (ex *execution) collect(rounds int) (*Result, error) {
 		NodeCommit: make([]int32, n),
 		EdgeCommit: make([]int32, m),
 		NodeHalt:   append([]int32(nil), ex.haltAt...),
-		NodeOut:    make([]any, n),
-		EdgeOut:    make([]any, m),
+		NodeOut:    make([]int32, n),
+		EdgeOut:    make([]int32, m),
+		Messages:   ex.messages,
 	}
 	for e := 0; e < m; e++ {
 		res.EdgeCommit[e] = -1
 	}
+	slices.SortStableFunc(ex.errs, func(a, b nodeErr) int { return cmp.Compare(a.v, b.v) })
+	pending := ex.errs
 	var errs []error
 	for v := 0; v < n; v++ {
+		for len(pending) > 0 && pending[0].v == int32(v) {
+			errs = append(errs, pending[0].err)
+			pending = pending[1:]
+		}
 		ctx := &ex.ctxs[v]
-		errs = append(errs, ctx.commitErrs...)
 		res.NodeCommit[v] = ctx.nodeRound
 		res.NodeOut[v] = ctx.nodeOut
-		res.Messages += ctx.sent
-		for p := 0; p < ex.g.Deg(v); p++ {
-			if !ctx.edgeSet[p] {
-				continue
-			}
-			e := ex.g.EdgeID(v, p)
-			r := ctx.edgeRound[p]
+		base := ex.offsets[v]
+		for p, e := range ex.g.EdgeIDs(v) {
+			a := base + int32(p)
+			r := ex.edgeRound[a]
 			switch {
+			case r < 0:
 			case res.EdgeCommit[e] < 0:
 				res.EdgeCommit[e] = r
-				res.EdgeOut[e] = ctx.edgeOut[p]
+				res.EdgeOut[e] = ex.edgeOut[a]
 			default:
-				// Both endpoints committed: values must agree. Edge outputs
-				// are required to be comparable types.
-				if res.EdgeOut[e] != any(ctx.edgeOut[p]) {
+				// Both endpoints committed: values must agree.
+				if res.EdgeOut[e] != ex.edgeOut[a] {
 					errs = append(errs, fmt.Errorf(
 						"runtime: edge %d committed inconsistently (%v vs %v)",
-						e, res.EdgeOut[e], ctx.edgeOut[p]))
+						e, res.EdgeOut[e], ex.edgeOut[a]))
 				}
 				if r < res.EdgeCommit[e] {
 					res.EdgeCommit[e] = r

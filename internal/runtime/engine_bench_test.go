@@ -32,7 +32,7 @@ func (s sparseTail) Node(view runtime.NodeView) runtime.Program {
 	return progFunc(func(ctx *runtime.Context, _ []runtime.Message) {
 		if !live || ctx.Round() >= s.tail {
 			if !ctx.HasCommitted() {
-				ctx.CommitNode(ctx.Round())
+				ctx.CommitNode(int32(ctx.Round()))
 			}
 			ctx.Halt()
 			return

@@ -14,14 +14,19 @@ import (
 	"avgloc/internal/graph"
 )
 
-// referenceRun replicates the seed engine's semantics with none of the
-// frontier/arena machinery.
+// referenceRun replicates the engine's semantics with none of the
+// frontier/arena machinery. Each node gets a private one-node execution
+// whose twin array is the identity, so the Context methods write the
+// node's sends into its own outbox and its edge commits into its own
+// per-port ledger; the reference then scatters every outbox through
+// g.Neighbor/TwinPort itself.
 func referenceRun(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 	n := g.N()
 	maxRounds := cfg.MaxRounds
 	if maxRounds <= 0 {
 		maxRounds = DefaultMaxRounds(n)
 	}
+	nodes := make([]*execution, n)
 	ctxs := make([]*Context, n)
 	progs := make([]Program, n)
 	halted := make([]bool, n)
@@ -42,14 +47,21 @@ func referenceRun(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 			MaxDegree:   g.MaxDegree(),
 			Rand:        rand.New(rand.NewPCG(cfg.Seed, uint64(v)*0x9E3779B97F4A7C15+0xD1B54A32D192ED03)),
 		}
-		ctxs[v] = &Context{
-			view:      &view,
-			outbox:    make([]Message, deg),
-			nodeRound: -1,
-			edgeOut:   make([]Message, deg),
-			edgeSet:   make([]bool, deg),
+		node := &execution{
+			views:     []NodeView{view},
+			twin:      make([]int32, deg),
+			next:      make([]Message, deg), // the node's outbox
+			sentAt:    make([]int32, deg),
+			edgeOut:   make([]int32, deg),
 			edgeRound: make([]int32, deg),
 		}
+		for p := 0; p < deg; p++ {
+			node.twin[p] = int32(p)
+			node.sentAt[p] = -1
+			node.edgeRound[p] = -1
+		}
+		nodes[v] = node
+		ctxs[v] = &Context{ex: node, nodeRound: -1}
 		haltAt[v] = -1
 		progs[v] = alg.Node(view)
 		cur[v] = make([]Message, deg)
@@ -62,13 +74,13 @@ func referenceRun(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 			if halted[v] {
 				continue
 			}
-			ctx := ctxs[v]
-			ctx.round = round
-			progs[v].Round(ctx, cur[v])
-			for p, m := range ctx.outbox {
+			nodes[v].round = round
+			progs[v].Round(ctxs[v], cur[v])
+			outbox := nodes[v].next
+			for p, m := range outbox {
 				if m != nil {
 					next[g.Neighbor(v, p)][g.TwinPort(v, p)] = m
-					ctx.outbox[p] = nil
+					outbox[p] = nil
 				}
 			}
 		}
@@ -100,30 +112,30 @@ func referenceRun(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 		NodeCommit: make([]int32, n),
 		EdgeCommit: make([]int32, m),
 		NodeHalt:   haltAt,
-		NodeOut:    make([]any, n),
-		EdgeOut:    make([]any, m),
+		NodeOut:    make([]int32, n),
+		EdgeOut:    make([]int32, m),
 	}
 	for e := 0; e < m; e++ {
 		res.EdgeCommit[e] = -1
 	}
 	for v := 0; v < n; v++ {
-		ctx := ctxs[v]
-		if len(ctx.commitErrs) > 0 {
-			return nil, ctx.commitErrs[0]
+		node, ctx := nodes[v], ctxs[v]
+		if len(node.errs) > 0 {
+			return nil, node.errs[0].err
 		}
 		res.NodeCommit[v] = ctx.nodeRound
 		res.NodeOut[v] = ctx.nodeOut
-		res.Messages += ctx.sent
+		res.Messages += node.messages
 		for p := 0; p < g.Deg(v); p++ {
-			if !ctx.edgeSet[p] {
+			if node.edgeRound[p] < 0 {
 				continue
 			}
 			e := g.EdgeID(v, p)
 			if res.EdgeCommit[e] < 0 {
-				res.EdgeCommit[e] = ctx.edgeRound[p]
-				res.EdgeOut[e] = ctx.edgeOut[p]
-			} else if ctx.edgeRound[p] < res.EdgeCommit[e] {
-				res.EdgeCommit[e] = ctx.edgeRound[p]
+				res.EdgeCommit[e] = node.edgeRound[p]
+				res.EdgeOut[e] = node.edgeOut[p]
+			} else if node.edgeRound[p] < res.EdgeCommit[e] {
+				res.EdgeCommit[e] = node.edgeRound[p]
 			}
 		}
 	}
@@ -158,14 +170,14 @@ func coinGossip() Algorithm {
 				}
 				if view.Rand.Uint64()%4 == 0 || ctx.Round() > 20 {
 					if !ctx.HasCommitted() {
-						ctx.CommitNode(heads)
+						ctx.CommitNode(int32(heads))
 					}
 					for p := 0; p < view.Degree; p++ {
 						lo := view.ID
 						if view.NeighborIDs[p] < lo {
 							lo = view.NeighborIDs[p]
 						}
-						ctx.CommitEdge(p, lo)
+						ctx.CommitEdge(p, int32(lo))
 					}
 					ctx.Halt()
 					return

@@ -3,7 +3,8 @@
 // synchronous round each node receives the messages its neighbors sent in
 // the previous round, updates its state, and sends new messages. The engine
 // records, for every node and every edge, the round at which its output was
-// committed — the "computation time" T_v, T_e of Definition 1.
+// committed — the "computation time" T_v, T_e of Definition 1 — together
+// with the committed outputs, as int32 columns.
 //
 // Node programs are state machines (Program): the engine calls Round once
 // per synchronous round with the node's inbox, and a program keeps whatever
@@ -21,7 +22,11 @@
 //
 // Engine binds the executor to one graph and reuses its internal arenas
 // across runs, which makes repeated trials on the same graph (the shape of
-// every measurement loop in internal/core) allocation-light.
+// every measurement loop in internal/core) allocation-light. The arenas
+// are indexed by the graph's own arcs: the engine borrows the graph's CSR
+// offsets and twin-arc array rather than copying them, and a Send writes
+// the message straight into the receiving arc's slot of the next-round
+// buffer, so there is no outbox and no scatter pass.
 package runtime
 
 import (
@@ -80,82 +85,98 @@ const (
 )
 
 // Context is the per-node handle passed to Program.Round. It is only valid
-// during the call.
+// during the call. It holds no slices of its own: the node's ports are the
+// arcs base..base+Degree-1 of the execution's arc-indexed arenas.
 type Context struct {
-	view   *NodeView
-	round  int32
-	outbox []Message
-	sent   int64
-
-	halted     bool
-	nodeOut    any
-	nodeSet    bool
-	nodeRound  int32
-	edgeOut    []Message // reused as []any per port
-	edgeSet    []bool
-	edgeRound  []int32
-	commitErrs []error
+	ex        *execution
+	v         int32 // index of the node's view in ex.views
+	base      int32 // the node's first arc: port p is arc base+p
+	nodeOut   int32
+	nodeRound int32 // -1 until CommitNode
+	halted    bool
 }
 
 // View returns the node's static local information.
-func (c *Context) View() *NodeView { return c.view }
+func (c *Context) View() *NodeView { return &c.ex.views[c.v] }
 
 // Round returns the current round number (0 for the initial round).
-func (c *Context) Round() int { return int(c.round) }
+func (c *Context) Round() int { return int(c.ex.round) }
 
-// Send queues a message on the given port for delivery next round. At most
-// one message per port per round may be sent (bundle payloads into one
-// message value instead); violations are reported as run errors.
-func (c *Context) Send(port int, m Message) {
-	if m == nil {
-		c.commitErrs = append(c.commitErrs,
-			fmt.Errorf("runtime: node %d sent nil on port %d in round %d", c.view.ID, port, c.round))
-		return
-	}
-	if c.outbox[port] != nil {
-		c.commitErrs = append(c.commitErrs,
-			fmt.Errorf("runtime: node %d sent twice on port %d in round %d", c.view.ID, port, c.round))
-		return
-	}
-	c.sent++
-	c.outbox[port] = m
+// fail records a run error of this node; Run reports it after the run.
+func (c *Context) fail(format string, args ...any) {
+	c.ex.errs = append(c.ex.errs, nodeErr{v: c.v, err: fmt.Errorf(format, args...)})
 }
 
-// Broadcast queues the same message on every port.
+// badPort records a run error naming the node and a port outside
+// [0, Degree) that it tried to use.
+func (c *Context) badPort(what string, port int) {
+	view := &c.ex.views[c.v]
+	c.fail("runtime: node %d %s port %d outside [0,%d) in round %d", view.ID, what, port, view.Degree, c.ex.round)
+}
+
+// Send delivers a message on the given port next round: it is written
+// straight into the receiver's inbox slot of the next-round buffer. At
+// most one message per port per round may be sent (bundle payloads into
+// one message value instead); violations, nil messages and ports outside
+// [0, Degree) are reported as run errors and deliver nothing.
+func (c *Context) Send(port int, m Message) {
+	ex := c.ex
+	if uint(port) >= uint(ex.views[c.v].Degree) {
+		c.badPort("sent on", port)
+		return
+	}
+	a := c.base + int32(port)
+	if m == nil {
+		c.fail("runtime: node %d sent nil on port %d in round %d", ex.views[c.v].ID, port, ex.round)
+		return
+	}
+	if ex.sentAt[a] == ex.round {
+		c.fail("runtime: node %d sent twice on port %d in round %d", ex.views[c.v].ID, port, ex.round)
+		return
+	}
+	ex.sentAt[a] = ex.round
+	ex.messages++
+	ex.next[ex.twin[a]] = m
+}
+
+// Broadcast sends the same message on every port.
 func (c *Context) Broadcast(m Message) {
-	for p := range c.outbox {
+	for p := range c.ex.views[c.v].Degree {
 		c.Send(p, m)
 	}
 }
 
 // CommitNode irrevocably fixes this node's output at the current round.
 // Committing twice is an error (reported by Run).
-func (c *Context) CommitNode(out any) {
-	if c.nodeSet {
-		c.commitErrs = append(c.commitErrs,
-			fmt.Errorf("runtime: node %d committed twice (round %d)", c.view.ID, c.round))
+func (c *Context) CommitNode(out int32) {
+	if c.nodeRound >= 0 {
+		c.fail("runtime: node %d committed twice (round %d)", c.ex.views[c.v].ID, c.ex.round)
 		return
 	}
-	c.nodeSet = true
 	c.nodeOut = out
-	c.nodeRound = c.round
+	c.nodeRound = c.ex.round
 }
 
 // HasCommitted reports whether this node already committed its output.
-func (c *Context) HasCommitted() bool { return c.nodeSet }
+func (c *Context) HasCommitted() bool { return c.nodeRound >= 0 }
 
 // CommitEdge irrevocably fixes the output of the edge on the given port at
 // the current round. Either endpoint may commit an edge; if both do, the
-// values must agree (checked by Run).
-func (c *Context) CommitEdge(port int, out any) {
-	if c.edgeSet[port] {
-		c.commitErrs = append(c.commitErrs,
-			fmt.Errorf("runtime: node %d committed port %d twice (round %d)", c.view.ID, port, c.round))
+// values must agree (checked by Run). A port outside [0, Degree) is a run
+// error.
+func (c *Context) CommitEdge(port int, out int32) {
+	ex := c.ex
+	if uint(port) >= uint(ex.views[c.v].Degree) {
+		c.badPort("committed", port)
 		return
 	}
-	c.edgeSet[port] = true
-	c.edgeOut[port] = out
-	c.edgeRound[port] = c.round
+	a := c.base + int32(port)
+	if ex.edgeRound[a] >= 0 {
+		c.fail("runtime: node %d committed port %d twice (round %d)", ex.views[c.v].ID, port, ex.round)
+		return
+	}
+	ex.edgeOut[a] = out
+	ex.edgeRound[a] = ex.round
 }
 
 // Halt stops this node: its Round will not be called again, and messages
@@ -176,10 +197,12 @@ type Result struct {
 	// NodeHalt[v] is the round at which node v halted (-1 if it ran to the
 	// round limit).
 	NodeHalt []int32
-	// NodeOut[v] is node v's committed output (nil if none).
-	NodeOut []any
-	// EdgeOut[e] is edge e's committed output (nil if none).
-	EdgeOut []any
+	// NodeOut[v] is node v's committed output. An uncommitted node reads
+	// 0; NodeCommit[v] == -1 is what marks it uncommitted.
+	NodeOut []int32
+	// EdgeOut[e] is edge e's committed output. An uncommitted edge reads 0;
+	// EdgeCommit[e] == -1 is what marks it uncommitted.
+	EdgeOut []int32
 	// Messages is the total number of messages sent.
 	Messages int64
 }
@@ -208,12 +231,14 @@ func DefaultMaxRounds(n int) int {
 	return budget
 }
 
-// Engine is a round executor bound to one graph. Its internal buffers
-// (message double buffer, per-node contexts, arenas for neighbor IDs,
-// outboxes and edge ledgers) are sized once from the graph and reused by
-// every Run, so repeated trials on the same graph — the shape of every
-// measurement loop — cost O(1) allocations per run plus whatever the
-// algorithm's per-node programs allocate.
+// Engine is a round executor bound to one graph. It borrows the graph's
+// CSR offsets and twin-arc array as its topology and sizes its buffers once
+// from the graph: the message double buffer, the per-arc send stamps, edge
+// output and edge commit columns and neighbor-ID arena, and the per-node
+// contexts, views and PRNGs. Every Run reuses them, so repeated trials on
+// the same graph — the shape of every measurement loop — cost O(1)
+// allocations per run plus whatever the algorithm's per-node programs
+// allocate.
 //
 // An Engine is not safe for concurrent use; give each worker its own.
 // Results returned by Run never alias engine buffers and stay valid after

@@ -3,6 +3,8 @@ package runtime_test
 import (
 	"errors"
 	"math/rand/v2"
+	goruntime "runtime"
+	"strings"
 	"testing"
 
 	"avgloc/internal/alg/mis"
@@ -42,7 +44,7 @@ func (f floodMax) Node(view runtime.NodeView) runtime.Program {
 			}
 		}
 		if ctx.Round() == f.k {
-			ctx.CommitNode(best)
+			ctx.CommitNode(int32(best))
 			ctx.Halt()
 			return
 		}
@@ -62,7 +64,7 @@ func (edgeMin) Node(view runtime.NodeView) runtime.Program {
 			if u := view.NeighborIDs[p]; u < v {
 				v = u
 			}
-			ctx.CommitEdge(p, v)
+			ctx.CommitEdge(p, int32(v))
 		}
 		ctx.Halt()
 	})
@@ -109,7 +111,7 @@ func TestFloodMaxReachesEccentricity(t *testing.T) {
 		if want > int64(n-1) {
 			want = int64(n - 1)
 		}
-		if res.NodeOut[v] != want {
+		if res.NodeOut[v] != int32(want) {
 			t.Fatalf("node %d got %v, want %d", v, res.NodeOut[v], want)
 		}
 		if res.NodeCommit[v] != int32(k) {
@@ -131,7 +133,7 @@ func TestEdgeCommitsMergeConsistently(t *testing.T) {
 	res := run(t, g, edgeMin{}, runtime.Config{IDs: ids.Sequential(4)})
 	for e := 0; e < g.M(); e++ {
 		u, _ := g.Endpoints(e)
-		if res.EdgeOut[e] != int64(u) {
+		if res.EdgeOut[e] != int32(u) {
 			t.Fatalf("edge %d output %v, want %d", e, res.EdgeOut[e], u)
 		}
 		if res.EdgeCommit[e] != 0 {
@@ -147,7 +149,7 @@ func (conflicting) Name() string { return "test/conflict" }
 func (conflicting) Node(view runtime.NodeView) runtime.Program {
 	return progFunc(func(ctx *runtime.Context, _ []runtime.Message) {
 		for p := 0; p < view.Degree; p++ {
-			ctx.CommitEdge(p, view.ID) // each side commits its own id
+			ctx.CommitEdge(p, int32(view.ID)) // each side commits its own id
 		}
 		ctx.Halt()
 	})
@@ -228,5 +230,75 @@ func TestIDValidation(t *testing.T) {
 	g := graph.Cycle(4)
 	if _, err := runtime.Run(g, constant{}, runtime.Config{IDs: ids.Sequential(3)}); err == nil {
 		t.Fatal("expected id-length error")
+	}
+}
+
+// badPort has node 0 send on and commit ports outside [0, Degree) in round
+// 0; in round 1 every node counts the messages it received.
+type badPort struct{ received *int }
+
+func (badPort) Name() string { return "test/bad-port" }
+func (b badPort) Node(view runtime.NodeView) runtime.Program {
+	return progFunc(func(ctx *runtime.Context, inbox []runtime.Message) {
+		if ctx.Round() == 0 {
+			if view.ID == 0 {
+				ctx.Send(view.Degree, 1)
+				ctx.Send(-1, 1)
+				ctx.CommitEdge(view.Degree, 1)
+			}
+			return
+		}
+		for _, m := range inbox {
+			if m != nil {
+				*b.received++
+			}
+		}
+		ctx.Halt()
+	})
+}
+
+// TestBadPortIsRunError: a port outside [0, Degree) is a run error naming
+// the node and the port, and the message reaches no one — the arc-indexed
+// arenas must never let it spill into a neighbor's arcs.
+func TestBadPortIsRunError(t *testing.T) {
+	received := 0
+	g := graph.Cycle(4)
+	_, err := runtime.Run(g, badPort{&received}, runtime.Config{IDs: ids.Sequential(4)})
+	if err == nil {
+		t.Fatal("bad ports accepted")
+	}
+	for _, want := range []string{"3 commit errors", "node 0 sent on port 2 outside [0,2)"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Fatalf("error %q does not mention %q", err, want)
+		}
+	}
+	if received != 0 {
+		t.Fatalf("%d messages delivered from bad ports", received)
+	}
+}
+
+// TestEngineFootprint pins the bytes NewEngine allocates, an exact and
+// noise-free figure: at most 70% of what the engine with copied topology,
+// an outbox arena and untyped output columns allocated (15.54 MB and
+// 15.15 MB on these graphs).
+func TestEngineFootprint(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 2))
+	for _, tc := range []struct {
+		g      *graph.Graph
+		before float64 // MB
+	}{
+		{graph.RandomRegular(16384, 8, rng), 15.54},
+		{graph.RandomTree(32768, rng), 15.15},
+	} {
+		var m0, m1 goruntime.MemStats
+		goruntime.ReadMemStats(&m0)
+		eng := runtime.NewEngine(tc.g)
+		goruntime.ReadMemStats(&m1)
+		goruntime.KeepAlive(eng)
+		got := float64(m1.TotalAlloc-m0.TotalAlloc) / 1e6
+		t.Logf("%v: NewEngine %.2f MB (%.0f%% of %.2f MB)", tc.g, got, 100*got/tc.before, tc.before)
+		if got > 0.70*tc.before {
+			t.Errorf("%v: NewEngine allocated %.2f MB, want at most 70%% of %.2f MB", tc.g, got, tc.before)
+		}
 	}
 }
