@@ -44,7 +44,6 @@ import (
 	"avgloc/internal/graphstore"
 	"avgloc/internal/obs"
 	"avgloc/internal/resultstore"
-	"avgloc/internal/twin"
 )
 
 func main() {
@@ -64,7 +63,6 @@ func run() error {
 	graphCacheDir := flag.String("graph-cache-dir", "", "optional persistent graph artifact directory (in-process mode; a warm dir reruns the campaign with zero generator invocations)")
 	strict := flag.Bool("strict", false, "exit non-zero when any hypothesis is REJECTED or INCONCLUSIVE")
 	tracePath := flag.String("trace", "", "write a flight-recorder trace artifact (NDJSON, read with avgtrace) for the in-process run")
-	twinOut := flag.String("twin-out", "", "write the analytical twin's measured-vs-predicted evaluations as an NDJSON artifact (read with avgtrace)")
 	flag.Parse()
 	if flag.NArg() != 1 {
 		return fmt.Errorf("usage: avgcampaign [flags] campaign.json")
@@ -116,12 +114,6 @@ func run() error {
 		return err
 	}
 
-	if *twinOut != "" {
-		if err := writeTwinArtifact(*twinOut, rep); err != nil {
-			return err
-		}
-	}
-
 	if *jsonOut {
 		out, err := rep.MarshalStable()
 		if err != nil {
@@ -134,35 +126,6 @@ func run() error {
 	if *strict && rep.Rejected+rep.Inconclusive > 0 {
 		return fmt.Errorf("%d rejected, %d inconclusive", rep.Rejected, rep.Inconclusive)
 	}
-	return nil
-}
-
-// writeTwinArtifact collects the report's twin blocks — present wherever
-// the catalogue had a model for a hypothesis's sweep, in both local and
-// -server mode — into a twin NDJSON artifact.
-func writeTwinArtifact(path string, rep *campaign.Report) error {
-	var sweeps []twin.ArtifactSweep
-	for _, s := range rep.Scenarios {
-		if s.Twin != nil {
-			sweeps = append(sweeps, twin.ArtifactSweep{Scenario: s.Name, Eval: s.Twin})
-		}
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	name := rep.Name
-	if name == "" {
-		name = "campaign"
-	}
-	if err := twin.WriteArtifact(f, name, sweeps); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	fmt.Fprintf(os.Stderr, "twin: %d sweeps -> %s (inspect: avgtrace %s)\n", len(sweeps), path, path)
 	return nil
 }
 

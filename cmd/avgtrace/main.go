@@ -4,19 +4,13 @@
 // a span waterfall, the chunk timeline of fleet runs (leases, steals,
 // requeues, completions), and the critical path. A chaos soak or fleet
 // campaign is debuggable from its artifact alone — no live process needed.
-//
-// It also reads load artifacts (NDJSON written by avgload) — the
-// per-phase latency waterfall and SLO verdict table — and twin artifacts
-// (NDJSON written by avgcampaign -twin-out): for those it plots measured
-// vs predicted per sweep row with the worst-deviating row flagged. Any
-// other header type is a one-line error, never a misrendered guess.
+// An artifact whose header is not a trace line is a one-line error naming
+// its type, never a misrendered guess.
 //
 // Usage:
 //
 //	avgtrace run.trace.ndjson
 //	avgtrace -waterfall=false -chunks=false run.trace.ndjson   # summary only
-//	avgtrace load.ndjson                                       # load artifact
-//	avgtrace paper-twin.ndjson                                 # twin artifact
 //	cat run.trace.ndjson | avgtrace -
 package main
 
@@ -66,23 +60,17 @@ func main() {
 	fmt.Print(out)
 }
 
-// render dispatches on the artifact's typed header. Every artifact the
-// repo writes (internal/obs traces, internal/load runs, internal/twin
-// evaluations) shares the NDJSON typed-header convention; a header type
-// this binary does not know is an explicit error — falling through to the
-// trace renderer would misread the artifact as an empty trace.
+// render prints a trace artifact. The first line's type must be a trace
+// line type; anything else is another NDJSON format, and falling through to
+// the trace reader would misread it as an empty trace.
 func render(data []byte, waterfall, chunks bool) (string, error) {
-	switch typ := artifactType(data); typ {
-	case "load":
-		return renderLoad(data)
-	case "twin":
-		return renderTwin(data)
+	switch typ := headerType(data); typ {
 	case "", "trace", "span", "event":
 		// Trace line types — including a truncated artifact that lost its
-		// header — fall through to the trace reader, whose errors name the
-		// problem ("artifact has no trace header line").
+		// header — go to the trace reader, whose errors name the problem
+		// ("artifact has no trace header line").
 	default:
-		return "", fmt.Errorf("unknown artifact header type %q (known: load, trace, twin)", typ)
+		return "", fmt.Errorf("unknown artifact header type %q (avgtrace reads trace artifacts only)", typ)
 	}
 	tr, err := readTrace(bytes.NewReader(data))
 	if err != nil {
@@ -99,6 +87,22 @@ func render(data []byte, waterfall, chunks bool) (string, error) {
 	}
 	b.WriteString(renderCriticalPath(a))
 	return b.String(), nil
+}
+
+// headerType probes the first NDJSON line's type field; a line that is not
+// a JSON object probes as "".
+func headerType(data []byte) string {
+	line := data
+	if i := bytes.IndexByte(data, '\n'); i >= 0 {
+		line = data[:i]
+	}
+	var probe struct {
+		Type string `json:"type"`
+	}
+	if json.Unmarshal(line, &probe) != nil {
+		return ""
+	}
+	return probe.Type
 }
 
 // trace is a parsed artifact.

@@ -11,7 +11,6 @@ import (
 	"avgloc/internal/fleet"
 	"avgloc/internal/obs"
 	"avgloc/internal/scenario"
-	"avgloc/internal/twin"
 )
 
 // syntheticArtifact builds a small fleet-shaped trace in memory: one run
@@ -232,18 +231,19 @@ func TestFleetArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRenderDispatch pins the typed-header dispatch: a fabricated header
-// type is a one-line error, never a fall-through to the trace renderer,
-// while load, twin, and trace headers each reach their renderer.
+// TestRenderDispatch pins the typed-header guard: any header type that is
+// not a trace line type — a fabricated one, or the retired load and twin
+// artifact formats — is a one-line error naming the type, never a
+// fall-through to the trace reader.
 func TestRenderDispatch(t *testing.T) {
-	// Unknown header type: explicit error naming the type and the knowns.
-	_, err := render([]byte(`{"type":"flux-capacitor","name":"x"}`+"\n"), true, true)
-	if err == nil {
-		t.Fatal("fabricated header type accepted")
-	}
-	if !strings.Contains(err.Error(), `unknown artifact header type "flux-capacitor"`) ||
-		!strings.Contains(err.Error(), "load, trace, twin") {
-		t.Fatalf("error does not name the type and the known types: %v", err)
+	for _, typ := range []string{"flux-capacitor", "load", "twin"} {
+		_, err := render([]byte(`{"type":"`+typ+`","name":"x"}`+"\n"), true, true)
+		if err == nil {
+			t.Fatalf("header type %q accepted", typ)
+		}
+		if !strings.Contains(err.Error(), `unknown artifact header type "`+typ+`"`) {
+			t.Fatalf("error does not name the type %q: %v", typ, err)
+		}
 	}
 
 	// A trace artifact still renders end to end.
@@ -259,34 +259,5 @@ func TestRenderDispatch(t *testing.T) {
 	if _, err := render([]byte(`{"type":"span","name":"x"}`+"\n"), true, true); err == nil ||
 		!strings.Contains(err.Error(), "no trace header") {
 		t.Fatalf("headerless artifact error = %v", err)
-	}
-}
-
-// TestRenderTwinArtifact pins the twin path through the dispatcher: a
-// written twin artifact renders its measured-vs-predicted plot.
-func TestRenderTwinArtifact(t *testing.T) {
-	var art strings.Builder
-	err := twin.WriteArtifact(&art, "paper", []twin.ArtifactSweep{{
-		Scenario: "e10-rand",
-		Eval: &twin.SweepEval{
-			Algorithm: "mis/luby", Family: "cycle", Measure: "node_avg", Curve: twin.Const,
-			Rows: []twin.RowEval{
-				{N: 256, Measured: 1.96, Predicted: 1.97, Ratio: 1.96 / 1.97},
-				{N: 1024, Measured: 2.10, Predicted: 1.97, Ratio: 2.10 / 1.97},
-			},
-			MaxAbsLogRatio: 0.09, WorstRow: 1,
-		},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, err := render([]byte(art.String()), true, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"twin paper: 1 sweeps", "e10-rand: mis/luby on cycle", "◄ worst"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("twin render missing %q:\n%s", want, out)
-		}
 	}
 }

@@ -15,9 +15,6 @@
 // averages: exact p50/p90/p99/max quantiles of per-node and per-edge
 // expected times, a log₂ histogram, and the across-trial variance of the
 // run-level averages.
-//
-// The legacy -n and -d flags still work for families that declare those
-// parameters; -params wins where both are given.
 package main
 
 import (
@@ -82,8 +79,6 @@ func listRegistry() {
 func run() error {
 	graphName := flag.String("graph", "regular", "graph family name (see -list)")
 	paramsFlag := flag.String("params", "", "graph parameters, e.g. n=1024,d=6")
-	n := flag.Int("n", 1024, "legacy shorthand for the n parameter")
-	d := flag.Int("d", 6, "legacy shorthand for the d parameter")
 	algName := flag.String("alg", "mis/luby", "algorithm name (see -list)")
 	list := flag.Bool("list", false, "list registry entries and exit")
 	trials := flag.Int("trials", 3, "independent trials")
@@ -112,37 +107,6 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	// Legacy -n/-d conveniences: applied only when the flag was explicitly
-	// given (otherwise the family's registry defaults stand), and rejected
-	// loudly when the family has no parameter of that name — silently
-	// building a different graph than requested would be worse.
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-	famHas := func(name string) bool {
-		for _, p := range fam.Params {
-			if p.Name == name {
-				return true
-			}
-		}
-		return false
-	}
-	for flagName, val := range map[string]float64{"n": float64(*n), "d": float64(*d)} {
-		if !explicit[flagName] {
-			continue
-		}
-		if !famHas(flagName) {
-			var ps []string
-			for _, p := range fam.Params {
-				ps = append(ps, p.Name)
-			}
-			return fmt.Errorf("graph family %q has no parameter %q; use -params (parameters: %s)",
-				fam.Name, flagName, strings.Join(ps, ", "))
-		}
-		if _, ok := params[flagName]; !ok {
-			params[flagName] = val
-		}
-	}
-
 	// The graph comes from the content-addressed store under the same seed
 	// pair the direct build always used, so the bytes are unchanged; with
 	// -graph-cache-dir a repeat invocation loads the CSR artifact instead of

@@ -17,12 +17,10 @@
 //	internal/twin        — analytical twin: calibrated closed-form curves evaluated beside sweeps
 //	internal/campaign    — hypothesis campaigns: scenarios + claims → verdicts
 //	internal/fleet       — distributed chunk execution with bit-identical merge
-//	internal/load        — open-loop load generation: seeded schedules, SLO verdicts, NDJSON artifacts
 //	internal/harness     — the experiments; also run via cmd/avgbench
 //	cmd/avgserve         — HTTP measurement service over the scenario layer (-fleet: coordinator)
 //	cmd/avgworker        — stateless fleet worker process
 //	cmd/avgcampaign      — run a campaign file, render the verdict table
-//	cmd/avgload          — drive avgserve with a load plan, judge its latency SLOs
 //	cmd/localsim         — one scenario from the command line, registry-driven
 //	examples/            — runnable walkthroughs
 //
@@ -148,22 +146,15 @@
 // pure observability — measured bytes are byte-identical with the twin
 // on or off — feeding localsim -twin, harness ratio columns, the
 // within_twin hypothesis form (constants, where expect judges growth
-// class), avgcampaign -twin-out artifacts rendered by avgtrace, twin.eval
-// flight-recorder spans and the avg_twin_* metrics.
+// class) and the twin block of campaign reports, twin.eval flight-recorder
+// spans and the avg_twin_* metrics.
 //
 // # Load testing
 //
-// internal/load and cmd/avgload close the observability loop from the
-// outside: a declarative load plan expands — deterministically, from
-// seedmix-derived streams — into an open-loop request schedule (Poisson,
-// bursty on/off, or diurnal-ramp arrivals; weighted endpoint and spec
-// mixes; a target cache-hit ratio via repeated spec seeds) that drives a
-// running avgserve while scraping its /v1/metrics on the same clock. The
-// run streams one NDJSON artifact interleaving per-request outcomes,
-// exact per-window latency quantiles (obs.Windowed), and server samples,
-// then judges the plan's SLO blocks ("p99 < X ms in the steady phase",
-// "queue_depth p90 < q") into the campaign vocabulary's CONFIRMED /
-// REJECTED / INCONCLUSIVE verdicts. avgtrace renders the artifact as a
-// per-phase latency waterfall; loadplans/quick.json is the pinned
-// example, and CI asserts its verdict against a live server.
+// The benchmark module's open-loop generator drives a running avgserve:
+// bash bench/run.sh --workload serve-miss (Poisson arrivals of fresh
+// seeds) or --workload serve-hit (primed keys). Its slo_ok_ratio is the
+// serving SLO — the share of requests that succeed, pass their checks and
+// answer within 250 ms (serve-miss) or 20 ms (serve-hit); bench/README.md
+// describes the workloads.
 package avgloc

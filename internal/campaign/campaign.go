@@ -241,9 +241,8 @@ func severity(v Verdict) int {
 }
 
 // Worse returns the more severe of two verdicts, for claims that compose
-// as conjunctions: a hypothesis carrying both a fit claim and a comparison
-// claim, or a load plan folding per-SLO verdicts (internal/load) into a
-// run verdict. CONFIRMED < INCONCLUSIVE < REJECTED.
+// as conjunctions, such as a hypothesis carrying both a fit claim and a
+// comparison claim. CONFIRMED < INCONCLUSIVE < REJECTED.
 func Worse(a, b Verdict) Verdict {
 	if severity(b) > severity(a) {
 		return b

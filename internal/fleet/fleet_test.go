@@ -308,7 +308,7 @@ func TestMismatchedChunkRequeues(t *testing.T) {
 			t.Fatal("worker deregistered")
 		}
 		if job != nil {
-			wrong, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, 1)
+			wrong, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, scenario.ChunkOptions{Parallelism: 1})
 			if err != nil {
 				t.Fatalf("RunChunk: %v", err)
 			}
@@ -435,7 +435,7 @@ func TestLongChunkHeartbeatKeepsLease(t *testing.T) {
 		t.Fatalf("heartbeating chunk was retried/stolen: %+v", st)
 	}
 
-	ch, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, 1)
+	ch, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, scenario.ChunkOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("RunChunk: %v", err)
 	}
@@ -484,7 +484,7 @@ func TestDuplicateCompleteIgnored(t *testing.T) {
 		job = j
 		time.Sleep(2 * time.Millisecond)
 	}
-	ch, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, 1)
+	ch, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, scenario.ChunkOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("RunChunk: %v", err)
 	}

@@ -65,7 +65,7 @@ func TestMergeChunksMatchesRun(t *testing.T) {
 				var chunks []*Chunk
 				for row := 0; row < norm.Rows(); row++ {
 					for _, cut := range randomPartition(rng, norm.Trials) {
-						ch, err := RunChunk(&spec, row, cut[0], cut[1], 1+rng.IntN(3))
+						ch, err := RunChunk(&spec, row, cut[0], cut[1], ChunkOptions{Parallelism: 1 + rng.IntN(3)})
 						if err != nil {
 							t.Fatalf("RunChunk(row=%d, [%d,%d)): %v", row, cut[0], cut[1], err)
 						}
@@ -110,7 +110,7 @@ func TestMergeChunksJSONRoundTrip(t *testing.T) {
 		if hi > norm.Trials {
 			hi = norm.Trials
 		}
-		ch, err := RunChunk(&spec, 0, lo, hi, 1)
+		ch, err := RunChunk(&spec, 0, lo, hi, ChunkOptions{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("RunChunk: %v", err)
 		}
@@ -139,11 +139,11 @@ func TestMergeChunksJSONRoundTrip(t *testing.T) {
 // producing a plausible-looking wrong report.
 func TestMergeChunksRejectsBadCovers(t *testing.T) {
 	spec := Spec{Graph: "cycle", Params: map[string]float64{"n": 24}, Algorithm: "mis/luby", Trials: 4, Seed: 2}
-	full, err := RunChunk(&spec, 0, 0, 4, 1)
+	full, err := RunChunk(&spec, 0, 0, 4, ChunkOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("RunChunk: %v", err)
 	}
-	head, err := RunChunk(&spec, 0, 0, 2, 1)
+	head, err := RunChunk(&spec, 0, 0, 2, ChunkOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("RunChunk: %v", err)
 	}
@@ -163,7 +163,7 @@ func TestMergeChunksRejectsBadCovers(t *testing.T) {
 		}
 	}
 	// Metadata disagreement between chunks of one row.
-	tail, err := RunChunk(&spec, 0, 2, 4, 1)
+	tail, err := RunChunk(&spec, 0, 2, 4, ChunkOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("RunChunk: %v", err)
 	}
@@ -179,13 +179,13 @@ func TestMergeChunksRejectsBadCovers(t *testing.T) {
 // and a split range concatenates to the full one.
 func TestMeasureRangeMatchesMeasure(t *testing.T) {
 	spec := Spec{Graph: "regular", Params: map[string]float64{"n": 24, "d": 3}, Algorithm: "mis/luby", Trials: 6, Seed: 4}
-	full, err := RunChunk(&spec, 0, 0, 6, 1)
+	full, err := RunChunk(&spec, 0, 0, 6, ChunkOptions{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("RunChunk full: %v", err)
 	}
 	var split []core.TrialOutcome
 	for _, cut := range [][2]int{{0, 1}, {1, 4}, {4, 6}} {
-		ch, err := RunChunk(&spec, 0, cut[0], cut[1], 2)
+		ch, err := RunChunk(&spec, 0, cut[0], cut[1], ChunkOptions{Parallelism: 2})
 		if err != nil {
 			t.Fatalf("RunChunk [%d,%d): %v", cut[0], cut[1], err)
 		}

@@ -23,7 +23,6 @@ import (
 	"avgloc/internal/obs"
 	"avgloc/internal/registry"
 	"avgloc/internal/seedmix"
-	"avgloc/internal/twin"
 )
 
 // DefaultTrials is the trial count used when a Spec leaves Trials unset.
@@ -204,12 +203,6 @@ type Outcome struct {
 	Spec *Spec  `json:"spec"`
 	Hash string `json:"hash"`
 	Rows []Row  `json:"rows"`
-	// Twin, present only when Options.Twin asked for it and the catalogue
-	// has a model for this (algorithm, family), is the analytical twin's
-	// evaluation of the sweep. It is pure post-processing over Rows —
-	// cached outcome documents never carry it, and stripping the "twin"
-	// key yields the exact bytes a twin-disabled run marshals.
-	Twin *twin.SweepEval `json:"twin,omitempty"`
 }
 
 // MarshalStable renders the outcome as deterministic, indented JSON: equal
@@ -242,12 +235,6 @@ type Options struct {
 	// generator's output for the row's seed stream, so the store never
 	// changes outcome bytes, cold or warm.
 	Graphs *graphstore.Store
-	// Twin asks Run to evaluate the analytical twin catalogue beside the
-	// measured rows and attach the result as Outcome.Twin. Strictly
-	// observational: the measurement loop, row seeds, and every measured
-	// field are untouched, and an (algorithm, family) pair without a
-	// catalogue model just leaves Outcome.Twin nil.
-	Twin bool
 }
 
 // graphSeeds returns the PCG seed pair whose stream generates row i's
@@ -400,42 +387,8 @@ func Run(s *Spec, opt Options) (*Outcome, error) {
 		runSpan.End(obs.A("error", err.Error()))
 		return nil, err
 	}
-	out := &Outcome{Spec: n, Hash: hash, Rows: rows}
-	if opt.Twin {
-		out.Twin = evalTwin(n, rowParams, rows, runSpan)
-	}
 	runSpan.End()
-	return out, nil
-}
-
-// evalTwin runs the analytical twin over a completed scenario's rows: a
-// pure read of the measured reports (N from the realized graph size, Δ
-// derived from the family's effective parameters) that returns nil when
-// the catalogue has no model for the (algorithm, family) pair.
-func evalTwin(n *Spec, rowParams []registry.Values, rows []Row, parent *obs.Span) *twin.SweepEval {
-	span := parent.Span("twin.eval", obs.A("algorithm", n.Algorithm), obs.A("family", n.Graph))
-	ev, ok := twin.EvalAny(n.Algorithm, n.Graph, func(measure string) []twin.Point {
-		pts := make([]twin.Point, 0, len(rows))
-		for i, r := range rows {
-			delta, ok := twin.DeltaOf(n.Graph, rowParams[i])
-			if !ok {
-				continue
-			}
-			v, ok := twin.MeasureValue(r.Report, measure)
-			if !ok {
-				continue
-			}
-			pts = append(pts, twin.Point{N: float64(r.Nodes), Delta: delta, Measured: v})
-		}
-		return pts
-	})
-	if !ok {
-		span.End(obs.A("model", "none"))
-		return nil
-	}
-	span.End(obs.A("measure", ev.Measure), obs.A("curve", string(ev.Curve)),
-		obs.A("max_abs_log_ratio", ev.MaxAbsLogRatio))
-	return ev
+	return &Outcome{Spec: n, Hash: hash, Rows: rows}, nil
 }
 
 // rowParamsOf expands a normalized spec into one effective parameter set
@@ -468,7 +421,7 @@ type Chunk struct {
 	Trials  []core.TrialOutcome `json:"trials"`
 }
 
-// ChunkOptions configures RunChunkOpts.
+// ChunkOptions configures RunChunk.
 type ChunkOptions struct {
 	// Parallelism fans the chunk's trials out locally
 	// (outcome-indistinguishable from sequential).
@@ -482,20 +435,14 @@ type ChunkOptions struct {
 	Ctx context.Context
 }
 
-// RunChunk executes trials [lo, hi) of sweep row `row` of the scenario with
-// default options (shared graph store, no tracing).
-func RunChunk(s *Spec, row, lo, hi, parallelism int) (*Chunk, error) {
-	return RunChunkOpts(s, row, lo, hi, ChunkOptions{Parallelism: parallelism})
-}
-
-// RunChunkOpts executes trials [lo, hi) of sweep row `row` of the scenario.
+// RunChunk executes trials [lo, hi) of sweep row `row` of the scenario.
 // The row's graph is fetched from the graph store under the row-derived
 // seed pair (built from the generator stream on a cold store) and the
 // trials use the same absolute-index seed derivations as Run, so a chunk's
 // outcomes are a pure function of (normalized spec, seed, row, trial) —
 // independent of which process runs it, and of whether the store served
 // the graph from memory, disk, or a fresh build.
-func RunChunkOpts(s *Spec, row, lo, hi int, opt ChunkOptions) (*Chunk, error) {
+func RunChunk(s *Spec, row, lo, hi int, opt ChunkOptions) (*Chunk, error) {
 	n, err := s.Normalize()
 	if err != nil {
 		return nil, err

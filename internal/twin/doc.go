@@ -24,10 +24,9 @@
 //
 // # Pure observability
 //
-// Nothing here changes measured bytes. scenario.Options.Twin attaches an
-// optional twin block to an outcome as post-processing (cached result
-// bytes never carry it), campaign.Evaluate recomputes twin blocks purely
-// from outcome rows, and the avg_twin_* metrics and twin.eval trace spans
+// Nothing here changes measured bytes. campaign.Evaluate computes twin
+// blocks purely from outcome rows, localsim -twin prints predictions beside
+// a measured run, and the avg_twin_* metrics and twin.eval trace spans
 // record that the evaluation happened — with the twin on or off, every
 // measured field marshals byte-identically.
 package twin

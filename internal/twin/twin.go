@@ -8,8 +8,8 @@
 // worst-deviation summary (max |log₂ ratio|, worst row flagged).
 //
 // The twin is pure observability: nothing in this package changes what is
-// measured, and callers attach its evaluations beside reports (scenario
-// outcomes, campaign results, harness tables) without touching measured
+// measured, and callers attach its evaluations beside reports (campaign
+// results, harness tables, localsim output) without touching measured
 // bytes. The campaign layer closes the loop with the within_twin
 // hypothesis form: the measured/predicted ratio must stay inside a bound
 // across the sweep, with the same refusal discipline as fit's confidence
@@ -50,7 +50,7 @@ func Curves() []Curve {
 	return []Curve{Const, LogStar, LogLog, Log, LogDelta, MinLogDLogLogN}
 }
 
-// Measures a twin model can predict, in the order EvalAny probes them.
+// Measures a twin model can predict.
 // The names are the campaign hypothesis vocabulary (internal/campaign).
 func Measures() []string { return []string{"node_avg", "edge_avg", "worst"} }
 
@@ -258,19 +258,6 @@ func EvalSweep(algorithm, family, measure string, pts []Point) (*SweepEval, bool
 	twinStats.rows.Add(int64(len(ev.Rows)))
 	observeMax(ev.MaxAbsLogRatio)
 	return ev, true
-}
-
-// EvalAny evaluates the first measure (Measures() order) the catalogue
-// has a model for; pts supplies the sweep points for the chosen measure.
-// When no measure has a model, the no-model counter moves exactly once.
-func EvalAny(algorithm, family string, pts func(measure string) []Point) (*SweepEval, bool) {
-	for _, measure := range Measures() {
-		if _, ok := Lookup(algorithm, family, measure); ok {
-			return EvalSweep(algorithm, family, measure, pts(measure))
-		}
-	}
-	twinStats.noModel.Add(1)
-	return nil, false
 }
 
 // twinStats is the process-wide deviation telemetry behind the avg_twin_*

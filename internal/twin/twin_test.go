@@ -153,29 +153,6 @@ func TestEvalSweep(t *testing.T) {
 	}
 }
 
-// TestEvalAny probes measures in order and degrades cleanly when no
-// measure has a model.
-func TestEvalAny(t *testing.T) {
-	pts := func(measure string) []Point {
-		if measure != "edge_avg" {
-			t.Fatalf("probed measure %q, want edge_avg for matching/randluby", measure)
-		}
-		return []Point{{N: 256, Delta: 6, Measured: 21.56}}
-	}
-	ev, ok := EvalAny("matching/randluby", "regular", pts)
-	if !ok || ev.Measure != "edge_avg" {
-		t.Fatalf("EvalAny picked %+v, %v", ev, ok)
-	}
-
-	before := Snapshot().NoModel
-	if _, ok := EvalAny("nothing/here", "tree", func(string) []Point { return nil }); ok {
-		t.Fatal("EvalAny invented a model")
-	}
-	if got := Snapshot().NoModel; got != before+1 {
-		t.Fatalf("no-model counter moved by %d, want 1", got-before)
-	}
-}
-
 // TestEvalSweepDegenerateRatio checks that a zero measurement cannot
 // produce an infinite log-ratio (JSON cannot carry ±Inf).
 func TestEvalSweepDegenerateRatio(t *testing.T) {
