@@ -38,9 +38,13 @@
 // that programs chain in lockstep. Engine reuse (runtime.NewEngine) keeps
 // all per-run buffers in graph-sized arenas across repeated trials: the
 // engine borrows the graph's CSR offsets and twin-arc array instead of
-// copying them, a Send writes straight into the receiver's slot of the
-// next-round buffer, and outputs are int32 columns whose commit ledger
-// (NodeCommit/EdgeCommit == -1) marks what was never committed.
+// copying them, a Send copies a pointer-free 16-byte runtime.Message
+// straight into the receiver's slot of the next-round buffer, an
+// algorithm builds every node's program into one slab that the engine
+// hands back on the next run, and outputs are int32 columns whose commit
+// ledger (NodeCommit/EdgeCommit == -1) marks what was never committed. The
+// round loop allocates nothing: a trial on a reused engine allocates only
+// its Result columns.
 //
 // # Measurement distributions
 //
@@ -51,9 +55,10 @@
 // paper's averaged measures summarize — most nodes finish in O(1) rounds
 // while a vanishing fraction pays the worst case — made inspectable: the
 // E1/E3/E10 harness tables print p50/p99 columns, and `localsim -dist`
-// renders the full block. Quantiles are computed by sorting into a scratch
-// buffer shared across the aggregator's quantile passes, never by
-// sketching, so they are exact.
+// renders the full block. Quantiles are exact, never sketched: the
+// per-element sums of integer rounds are ranked by a counting pass when
+// the largest is at most the element count, and by a sort otherwise, into
+// scratch buffers the aggregator reuses.
 //
 // # Deterministic parallelism
 //

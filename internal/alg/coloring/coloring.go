@@ -21,12 +21,30 @@
 // it; callers pass nil. A stage with nothing to do (Linial with a
 // one-entry schedule, ReduceColorsKW with q <= target) is done on its first
 // call and sends nothing.
+//
+// Messages are runtime.Message values; every color rides in Val. The
+// stages and RandGreedy use the kinds below FreeKind, and a program that
+// chains the stages numbers its own kinds from FreeKind up.
 package coloring
 
 import (
 	"math/rand/v2"
 
 	"avgloc/internal/runtime"
+)
+
+// Message kinds.
+const (
+	kindCV     uint32 = iota + 1 // CV6: the sender's color
+	kindSweep                    // MISSweep: the sender joined
+	kindLinial                   // Linial: the sender's color
+	kindReduce                   // ReduceColorsKW: the sender's color
+	kindTry                      // RandGreedy: the sender tries a color
+	kindFinal                    // RandGreedy: the sender keeps a color
+
+	// FreeKind is the first message kind free for a program that chains
+	// the stages.
+	FreeKind
 )
 
 // CVRounds returns the number of Cole–Vishkin iterations needed to shrink
@@ -51,8 +69,6 @@ func bitsFor(v int) int {
 	}
 	return b
 }
-
-type cvMsg struct{ Color int64 }
 
 // CV6 runs Cole–Vishkin on a pseudoforest: every participating node has at
 // most one parent (parentPort, or -1 for roots) and any number of children.
@@ -80,8 +96,8 @@ func (s *CV6) Round(ctx *runtime.Context, inbox []runtime.Message) bool {
 	if s.started {
 		parent := s.color ^ 1 // virtual parent for roots
 		if s.parentPort >= 0 {
-			if m := inbox[s.parentPort]; m != nil {
-				parent = m.(cvMsg).Color
+			if m := inbox[s.parentPort]; m.Kind == kindCV {
+				parent = m.Val
 			}
 		}
 		i := lowestDifferingBit(s.color, parent)
@@ -92,7 +108,7 @@ func (s *CV6) Round(ctx *runtime.Context, inbox []runtime.Message) bool {
 	if s.left == 0 {
 		return true
 	}
-	ctx.Broadcast(cvMsg{Color: s.color})
+	ctx.Broadcast(runtime.Message{Kind: kindCV, Val: s.color})
 	return false
 }
 
@@ -108,8 +124,6 @@ func lowestDifferingBit(a, b int64) int {
 	}
 	return i
 }
-
-type sweepMsg struct{ Joined bool }
 
 // MISSweep turns a proper q-coloring of the active subgraph into an MIS of
 // it in q rounds: color class c decides in the stage's round c, joining
@@ -130,7 +144,7 @@ func NewMISSweep(q, myColor int) MISSweep {
 func (s *MISSweep) Round(ctx *runtime.Context, inbox []runtime.Message) bool {
 	if s.started {
 		for _, m := range inbox {
-			if m != nil && m.(sweepMsg).Joined {
+			if m.Kind == kindSweep {
 				s.blocked = true
 			}
 		}
@@ -142,7 +156,7 @@ func (s *MISSweep) Round(ctx *runtime.Context, inbox []runtime.Message) bool {
 	}
 	if s.c == s.color && !s.blocked {
 		s.joined = true
-		ctx.Broadcast(sweepMsg{Joined: true})
+		ctx.Broadcast(runtime.Message{Kind: kindSweep})
 	}
 	return false
 }
@@ -226,8 +240,6 @@ func nextPrime(n int64) int64 {
 	return n
 }
 
-type linialMsg struct{ Color int64 }
-
 // Linial runs Linial's coloring over the active subgraph: starting from
 // unique identifiers below space, after len(LinialSchedule)-1 exchanges
 // every node holds a color in [0, Palette()) proper on the active
@@ -252,8 +264,8 @@ func (s *Linial) Round(ctx *runtime.Context, inbox []runtime.Message) bool {
 		q, _ := linialPrime(K, s.maxDeg)
 		s.nbr = s.nbr[:0]
 		for _, m := range inbox {
-			if m != nil {
-				s.nbr = append(s.nbr, m.(linialMsg).Color)
+			if m.Kind == kindLinial {
+				s.nbr = append(s.nbr, m.Val)
 			}
 		}
 		s.color = linialStep(s.color, s.nbr, q, polyDegree(K, q))
@@ -262,7 +274,7 @@ func (s *Linial) Round(ctx *runtime.Context, inbox []runtime.Message) bool {
 	if s.t+1 >= len(s.sched) {
 		return true
 	}
-	ctx.Broadcast(linialMsg{Color: s.color})
+	ctx.Broadcast(runtime.Message{Kind: kindLinial, Val: s.color})
 	return false
 }
 
@@ -317,8 +329,6 @@ func polyEval(coeffs []int64, x, q int64) int64 {
 	return acc
 }
 
-type reduceMsg struct{ Color int64 }
-
 type kwPhase uint8
 
 const (
@@ -363,12 +373,12 @@ func (s *ReduceColorsKW) Round(ctx *runtime.Context, inbox []runtime.Message) bo
 		}
 		s.used = make([]bool, s.target)
 		s.phase = kwExchange
-		ctx.Broadcast(reduceMsg{Color: s.color})
+		ctx.Broadcast(runtime.Message{Kind: kindReduce, Val: s.color})
 		return false
 	}
 	for p, m := range inbox {
-		if m != nil {
-			s.nbr[p] = m.(reduceMsg).Color
+		if m.Kind == kindReduce {
+			s.nbr[p] = m.Val
 		}
 	}
 	blockSize := 2 * s.target
@@ -399,7 +409,7 @@ func (s *ReduceColorsKW) Round(ctx *runtime.Context, inbox []runtime.Message) bo
 		if s.color%blockSize == s.target+s.s {
 			base := (s.color / blockSize) * blockSize
 			s.color = s.smallestFreeIn(base, base+s.target)
-			ctx.Broadcast(reduceMsg{Color: s.color})
+			ctx.Broadcast(runtime.Message{Kind: kindReduce, Val: s.color})
 		}
 	case kwFinal:
 		if s.c < s.target {
@@ -407,7 +417,7 @@ func (s *ReduceColorsKW) Round(ctx *runtime.Context, inbox []runtime.Message) bo
 		}
 		if s.color == s.c {
 			s.color = s.smallestFreeIn(0, s.target)
-			ctx.Broadcast(reduceMsg{Color: s.color})
+			ctx.Broadcast(runtime.Message{Kind: kindReduce, Val: s.color})
 		}
 	}
 	return false
@@ -517,63 +527,90 @@ type RandGreedy struct{}
 // Name implements runtime.Algorithm.
 func (RandGreedy) Name() string { return "coloring/randgreedy" }
 
-type tryMsg struct {
-	Color int64
-	Final bool
+// randGreedySlab holds a RandGreedy run's programs and their taken-color
+// flags, deg(v)+1 per node.
+type randGreedySlab struct {
+	nodes []randGreedyNode
+	taken []bool
 }
 
-// Node implements runtime.Algorithm.
-func (RandGreedy) Node(view runtime.NodeView) runtime.Program {
-	return &randGreedyNode{rng: view.Rand, deg: view.Degree}
+// Nodes implements runtime.Algorithm.
+func (RandGreedy) Nodes(views []runtime.NodeView, progs []runtime.Program, slab any) any {
+	s, _ := slab.(*randGreedySlab)
+	if s == nil {
+		s = new(randGreedySlab)
+	}
+	colors := 0
+	for v := range views {
+		colors += views[v].Degree + 1
+	}
+	s.nodes = runtime.Reslice(s.nodes, len(views))
+	s.taken = runtime.Reslice(s.taken, colors)
+	taken := s.taken
+	for v := range s.nodes {
+		k := views[v].Degree + 1
+		s.nodes[v].taken = taken[:k:k]
+		taken = taken[k:]
+		progs[v] = &s.nodes[v]
+	}
+	return s
 }
 
 type randGreedyNode struct {
-	rng       *rand.Rand
-	deg       int
-	taken     map[int64]bool
+	// taken[c] is set once a neighbor kept color c. Only the node's own
+	// palette [0, deg] is tracked: a color above it never changes a choice.
+	taken     []bool
 	tentative int64
 }
 
 var _ runtime.Program = (*randGreedyNode)(nil)
 
 func (n *randGreedyNode) Round(ctx *runtime.Context, inbox []runtime.Message) {
-	if n.taken == nil {
-		n.taken = make(map[int64]bool, n.deg)
-	}
-	// Finalized colors may arrive in either step; ingest them first.
+	// Kept colors may arrive in either step; ingest them first.
 	conflict := false
 	for _, m := range inbox {
-		if m == nil {
-			continue
-		}
-		t := m.(tryMsg)
-		if t.Final {
-			n.taken[t.Color] = true
-		} else if t.Color == n.tentative {
-			conflict = true
+		switch m.Kind {
+		case kindFinal:
+			if m.Val < int64(len(n.taken)) {
+				n.taken[m.Val] = true
+			}
+		case kindTry:
+			if m.Val == n.tentative {
+				conflict = true
+			}
 		}
 	}
 	if ctx.Round()%2 == 0 { // try step
-		n.tentative = n.freeColor()
-		ctx.Broadcast(tryMsg{Color: n.tentative})
+		n.tentative = n.freeColor(ctx.View().Rand)
+		ctx.Broadcast(runtime.Message{Kind: kindTry, Val: n.tentative})
 		return
 	}
 	// resolve step: keep the tentative color unless an uncolored neighbor
 	// tried it too or a neighbor finalized it meanwhile.
 	if !conflict && !n.taken[n.tentative] {
 		ctx.CommitNode(int32(n.tentative))
-		ctx.Broadcast(tryMsg{Color: n.tentative, Final: true})
+		ctx.Broadcast(runtime.Message{Kind: kindFinal, Val: n.tentative})
 		ctx.Halt()
 	}
 }
 
-// freeColor samples uniformly from [0, deg] minus the taken set.
-func (n *randGreedyNode) freeColor() int64 {
-	free := make([]int64, 0, n.deg+1)
-	for c := int64(0); c <= int64(n.deg); c++ {
-		if !n.taken[c] {
-			free = append(free, c)
+// freeColor samples uniformly from [0, deg] minus the taken set: it draws
+// k among the free colors and returns the k-th.
+func (n *randGreedyNode) freeColor(rng *rand.Rand) int64 {
+	free := 0
+	for _, t := range n.taken {
+		if !t {
+			free++
 		}
 	}
-	return free[n.rng.IntN(len(free))]
+	k := rng.IntN(free)
+	for c, t := range n.taken {
+		if !t {
+			if k == 0 {
+				return int64(c)
+			}
+			k--
+		}
+	}
+	panic("coloring: free color not found")
 }

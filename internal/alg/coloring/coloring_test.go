@@ -9,37 +9,32 @@ import (
 	"avgloc/internal/ids"
 	"avgloc/internal/measure"
 	"avgloc/internal/runtime"
+	"avgloc/internal/runtime/runtimetest"
 )
-
-type progFunc func(*runtime.Context, []runtime.Message)
-
-func (f progFunc) Round(ctx *runtime.Context, inbox []runtime.Message) { f(ctx, inbox) }
 
 // cycleCV runs CV6 on a consistently oriented cycle: with sequential
 // identifiers, each node's parent is its successor (id+1 mod n), so the
 // pseudoforest covers every cycle edge and the 6-coloring is proper on the
 // whole cycle. CV6 only guarantees properness along parent edges, so the
 // orientation must cover the edges being checked.
-type cycleCV struct{ n int }
-
-func (cycleCV) Name() string { return "test/cyclecv" }
-
-func (a cycleCV) Node(view runtime.NodeView) runtime.Program {
-	succ := (view.ID + 1) % int64(a.n)
-	parent := 0
-	if view.NeighborIDs[1] == succ {
-		parent = 1
-	}
-	space := int64(a.n) * int64(a.n)
-	bits := 1
-	for int64(1)<<uint(bits) <= space-1 {
-		bits++
-	}
-	cv := coloring.NewCV6(view.ID, bits, parent)
-	return progFunc(func(ctx *runtime.Context, inbox []runtime.Message) {
-		if cv.Round(ctx, inbox) {
-			ctx.CommitNode(int32(cv.Color()))
-			ctx.Halt()
+func cycleCV(n int) runtime.Algorithm {
+	return runtimetest.Algorithm("test/cyclecv", func(view runtime.NodeView) runtimetest.Func {
+		succ := (view.ID + 1) % int64(n)
+		parent := 0
+		if view.NeighborIDs[1] == succ {
+			parent = 1
+		}
+		space := int64(n) * int64(n)
+		bits := 1
+		for int64(1)<<uint(bits) <= space-1 {
+			bits++
+		}
+		cv := coloring.NewCV6(view.ID, bits, parent)
+		return func(ctx *runtime.Context, inbox []runtime.Message) {
+			if cv.Round(ctx, inbox) {
+				ctx.CommitNode(int32(cv.Color()))
+				ctx.Halt()
+			}
 		}
 	})
 }
@@ -47,7 +42,7 @@ func (a cycleCV) Node(view runtime.NodeView) runtime.Program {
 func TestCV6OnCycle(t *testing.T) {
 	for _, n := range []int{3, 4, 17, 100, 257} {
 		g := graph.Cycle(n)
-		res, err := runtime.Run(g, cycleCV{n}, runtime.Config{IDs: ids.Sequential(n)})
+		res, err := runtime.Run(g, cycleCV(n), runtime.Config{IDs: ids.Sequential(n)})
 		if err != nil {
 			t.Fatalf("n=%d: %v", n, err)
 		}
@@ -84,11 +79,7 @@ func TestCVRoundsMonotone(t *testing.T) {
 
 // linialAlg runs Linial + KW reduction + commits a (Δ+1)-coloring. The
 // reduction stage starts in the round Linial finishes, without an inbox.
-type linialAlg struct{}
-
-func (linialAlg) Name() string { return "test/linial" }
-
-func (linialAlg) Node(view runtime.NodeView) runtime.Program {
+var linialAlg = runtimetest.Algorithm("test/linial", func(view runtime.NodeView) runtimetest.Func {
 	space := int64(view.N) * int64(view.N)
 	if space < 4 {
 		space = 4
@@ -96,7 +87,7 @@ func (linialAlg) Node(view runtime.NodeView) runtime.Program {
 	lin := coloring.NewLinial(view.ID, space, view.MaxDegree)
 	var kw coloring.ReduceColorsKW
 	reducing := false
-	return progFunc(func(ctx *runtime.Context, inbox []runtime.Message) {
+	return func(ctx *runtime.Context, inbox []runtime.Message) {
 		if !reducing {
 			if !lin.Round(ctx, inbox) {
 				return
@@ -109,8 +100,8 @@ func (linialAlg) Node(view runtime.NodeView) runtime.Program {
 			ctx.CommitNode(int32(kw.Color()))
 			ctx.Halt()
 		}
-	})
-}
+	}
+})
 
 func TestLinialPlusReduction(t *testing.T) {
 	rng := rand.New(rand.NewPCG(31, 32))
@@ -122,7 +113,7 @@ func TestLinialPlusReduction(t *testing.T) {
 		graph.Complete(9),
 	}
 	for i, g := range workloads {
-		res, err := runtime.Run(g, linialAlg{}, runtime.Config{IDs: ids.RandomPerm(g.N(), rng)})
+		res, err := runtime.Run(g, linialAlg, runtime.Config{IDs: ids.RandomPerm(g.N(), rng)})
 		if err != nil {
 			t.Fatalf("workload %d (%s): %v", i, g, err)
 		}

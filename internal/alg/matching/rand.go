@@ -14,11 +14,13 @@
 // Matching is an edge-output problem: every edge commits In (int32 1, in
 // the matching) or Out (0). A node is complete (Definition 1) once all its
 // incident edges have committed.
+//
+// Messages are runtime.Message values whose kinds are declared below: a
+// degree or mark-count message carries its number in Val, the others carry
+// nothing.
 package matching
 
 import (
-	"math/rand/v2"
-
 	"avgloc/internal/graph"
 	"avgloc/internal/runtime"
 )
@@ -44,129 +46,122 @@ type RandLuby struct{}
 // Name implements runtime.Algorithm.
 func (RandLuby) Name() string { return "matching/randluby" }
 
-type degMsg struct{ Deg int }
+// Message kinds of both randomized algorithms.
+const (
+	kindDeg     uint32 = iota + 1 // Val: the sender's live degree
+	kindMark                      // the sender marked our edge
+	kindCount                     // Val: the sender's marked-edge count
+	kindMatched                   // the sender matched and halted
+	kindPropose
+	kindAccept
+)
 
-type markMsg struct{}
-
-type countMsg struct{ K int }
-
-type matchedMsg struct{}
-
-// Node implements runtime.Algorithm.
-func (RandLuby) Node(view runtime.NodeView) runtime.Program {
-	n := &randLubyNode{
-		rng:  view.Rand,
-		id:   view.ID,
-		live: make([]bool, view.Degree),
+// liveArena returns arena resliced to one flag per port of every node,
+// all set: every edge starts undecided.
+func liveArena(arena []bool, views []runtime.NodeView) []bool {
+	arcs := 0
+	for v := range views {
+		arcs += views[v].Degree
 	}
-	for p := range n.live {
-		n.live[p] = true
+	arena = runtime.Reslice(arena, arcs)
+	for a := range arena {
+		arena[a] = true
 	}
-	return n
+	return arena
+}
+
+// randLubySlab holds a RandLuby run's programs and their port-indexed
+// live and marked flags.
+type randLubySlab struct {
+	nodes        []randLubyNode
+	live, marked []bool
+}
+
+// Nodes implements runtime.Algorithm.
+func (RandLuby) Nodes(views []runtime.NodeView, progs []runtime.Program, slab any) any {
+	s, _ := slab.(*randLubySlab)
+	if s == nil {
+		s = new(randLubySlab)
+	}
+	s.nodes = runtime.Reslice(s.nodes, len(views))
+	s.live = liveArena(s.live, views)
+	s.marked = runtime.Reslice(s.marked, len(s.live))
+	live, marked := s.live, s.marked
+	for v := range s.nodes {
+		deg := views[v].Degree
+		s.nodes[v] = randLubyNode{live: live[:deg:deg], marked: marked[:deg:deg]}
+		live, marked = live[deg:], marked[deg:]
+		progs[v] = &s.nodes[v]
+	}
+	return s
 }
 
 type randLubyNode struct {
-	rng  *rand.Rand
-	id   int64
-	live []bool // per-port: edge not yet decided
-
-	nbrDeg []int
-	marked []bool
+	live   []bool // per-port: edge not yet decided
+	marked []bool // per-port: edge marked this phase
 }
 
 var _ runtime.Program = (*randLubyNode)(nil)
 
-func (n *randLubyNode) liveDeg() int {
-	d := 0
-	for _, l := range n.live {
-		if l {
-			d++
+// count is the number of set flags.
+func count(flags []bool) int {
+	k := 0
+	for _, f := range flags {
+		if f {
+			k++
 		}
 	}
-	return d
+	return k
 }
 
 func (n *randLubyNode) Round(ctx *runtime.Context, inbox []runtime.Message) {
 	view := ctx.View()
 	switch ctx.Round() % 4 {
 	case 0: // ingest matched announcements from last phase; exchange degrees
-		for p, m := range inbox {
-			if _, ok := m.(matchedMsg); ok {
-				n.live[p] = false
-			}
-		}
-		d := n.liveDeg()
+		ingestMatched(n.live, inbox)
+		d := count(n.live)
 		if d == 0 {
 			ctx.Halt() // all incident edges decided by matched neighbors
 			return
 		}
 		for p, l := range n.live {
 			if l {
-				ctx.Send(p, degMsg{Deg: d})
+				ctx.Send(p, runtime.Message{Kind: kindDeg, Val: int64(d)})
 			}
 		}
 	case 1: // mark: the smaller-identifier endpoint flips the edge coin
-		if n.nbrDeg == nil {
-			n.nbrDeg = make([]int, len(n.live))
-			n.marked = make([]bool, len(n.live))
-		}
-		d := n.liveDeg()
-		for p := range n.marked {
-			n.marked[p] = false
-		}
+		d := count(n.live)
+		clear(n.marked)
 		for p, m := range inbox {
-			dm, ok := m.(degMsg)
-			if !ok {
+			if m.Kind != kindDeg {
 				continue
 			}
-			n.nbrDeg[p] = dm.Deg
-			if view.NeighborIDs[p] > n.id {
-				prob := 1 / float64(4*(d+dm.Deg))
-				if n.rng.Float64() < prob {
+			if view.NeighborIDs[p] > view.ID {
+				prob := 1 / float64(4*(d+int(m.Val)))
+				if view.Rand.Float64() < prob {
 					n.marked[p] = true
-					ctx.Send(p, markMsg{})
+					ctx.Send(p, runtime.Message{Kind: kindMark})
 				}
 			}
 		}
 	case 2: // census of marked incident edges
 		for p, m := range inbox {
-			if _, ok := m.(markMsg); ok {
+			if m.Kind == kindMark {
 				n.marked[p] = true
 			}
 		}
-		k := 0
-		for _, mk := range n.marked {
-			if mk {
-				k++
-			}
-		}
+		k := count(n.marked)
 		for p, mk := range n.marked {
 			if mk {
-				ctx.Send(p, countMsg{K: k})
+				ctx.Send(p, runtime.Message{Kind: kindCount, Val: int64(k)})
 			}
 		}
 	case 3: // resolve: an isolated marked edge joins the matching
-		myK := 0
-		for _, mk := range n.marked {
-			if mk {
-				myK++
-			}
-		}
+		myK := count(n.marked)
 		for p, m := range inbox {
-			cm, ok := m.(countMsg)
-			if !ok {
-				continue
-			}
-			if n.marked[p] && myK == 1 && cm.K == 1 {
+			if m.Kind == kindCount && n.marked[p] && myK == 1 && m.Val == 1 {
 				// Matched via port p: all incident edges are now decided.
-				for q, l := range n.live {
-					if !l {
-						continue
-					}
-					ctx.CommitEdge(q, output(q == p))
-				}
-				ctx.Broadcast(matchedMsg{})
-				ctx.Halt()
+				matchVia(ctx, n.live, p)
 				return
 			}
 		}
@@ -181,21 +176,32 @@ type IsraeliItai struct{}
 // Name implements runtime.Algorithm.
 func (IsraeliItai) Name() string { return "matching/israeliitai" }
 
-type proposeMsg struct{}
+// iiSlab holds an IsraeliItai run's programs and their port-indexed live
+// flags.
+type iiSlab struct {
+	nodes []iiNode
+	live  []bool
+}
 
-type acceptMsg struct{}
-
-// Node implements runtime.Algorithm.
-func (IsraeliItai) Node(view runtime.NodeView) runtime.Program {
-	n := &iiNode{rng: view.Rand, live: make([]bool, view.Degree)}
-	for p := range n.live {
-		n.live[p] = true
+// Nodes implements runtime.Algorithm.
+func (IsraeliItai) Nodes(views []runtime.NodeView, progs []runtime.Program, slab any) any {
+	s, _ := slab.(*iiSlab)
+	if s == nil {
+		s = new(iiSlab)
 	}
-	return n
+	s.nodes = runtime.Reslice(s.nodes, len(views))
+	s.live = liveArena(s.live, views)
+	live := s.live
+	for v := range s.nodes {
+		deg := views[v].Degree
+		s.nodes[v].live = live[:deg:deg]
+		live = live[deg:]
+		progs[v] = &s.nodes[v]
+	}
+	return s
 }
 
 type iiNode struct {
-	rng      *rand.Rand
 	live     []bool
 	heads    bool
 	proposed int // port proposed on this phase, or -1
@@ -205,75 +211,91 @@ type iiNode struct {
 var _ runtime.Program = (*iiNode)(nil)
 
 func (n *iiNode) Round(ctx *runtime.Context, inbox []runtime.Message) {
+	rng := ctx.View().Rand
 	switch ctx.Round() % 3 {
 	case 0: // ingest matches; coin flip; heads propose
-		for p, m := range inbox {
-			if _, ok := m.(matchedMsg); ok {
-				n.live[p] = false
-			}
-		}
-		var livePorts []int
-		for p, l := range n.live {
-			if l {
-				livePorts = append(livePorts, p)
-			}
-		}
-		if len(livePorts) == 0 {
+		ingestMatched(n.live, inbox)
+		live := count(n.live)
+		if live == 0 {
 			ctx.Halt()
 			return
 		}
-		n.heads = n.rng.Uint64()&1 == 0
+		n.heads = rng.Uint64()&1 == 0
 		n.proposed, n.accepted = -1, -1
 		if n.heads {
-			n.proposed = livePorts[n.rng.IntN(len(livePorts))]
-			ctx.Send(n.proposed, proposeMsg{})
+			// Propose on a uniformly random live port: the k-th one.
+			k := rng.IntN(live)
+			for p, l := range n.live {
+				if l {
+					if k == 0 {
+						n.proposed = p
+						break
+					}
+					k--
+				}
+			}
+			ctx.Send(n.proposed, runtime.Message{Kind: kindPropose})
 		}
 	case 1: // tails accept one proposal uniformly at random
 		if n.heads {
 			return
 		}
-		var proposers []int
-		for p, m := range inbox {
-			if _, ok := m.(proposeMsg); ok {
-				proposers = append(proposers, p)
+		proposers := 0
+		for _, m := range inbox {
+			if m.Kind == kindPropose {
+				proposers++
 			}
 		}
-		if len(proposers) == 0 {
+		if proposers == 0 {
 			return
 		}
-		n.accepted = proposers[n.rng.IntN(len(proposers))]
-		ctx.Send(n.accepted, acceptMsg{})
+		k := rng.IntN(proposers)
+		for p, m := range inbox {
+			if m.Kind == kindPropose {
+				if k == 0 {
+					n.accepted = p
+					break
+				}
+				k--
+			}
+		}
+		ctx.Send(n.accepted, runtime.Message{Kind: kindAccept})
 	case 2:
 		// Heads with an accepted proposal match; tails that accepted know
 		// the head will match (acceptance always succeeds), so both sides
 		// commit in this round.
 		if n.heads && n.proposed >= 0 {
-			if m := inbox[n.proposed]; m != nil {
-				if _, ok := m.(acceptMsg); ok {
-					n.matchVia(ctx, n.proposed)
-				}
+			if inbox[n.proposed].Kind == kindAccept {
+				matchVia(ctx, n.live, n.proposed)
 			}
 			return
 		}
 		if !n.heads && n.accepted >= 0 {
-			n.matchVia(ctx, n.accepted)
+			matchVia(ctx, n.live, n.accepted)
+		}
+	}
+}
+
+// ingestMatched retires the ports whose neighbor announced a match.
+func ingestMatched(live []bool, inbox []runtime.Message) {
+	for p, m := range inbox {
+		if m.Kind == kindMatched {
+			live[p] = false
 		}
 	}
 }
 
 // matchVia commits all of the node's live edges (the matched one In, the
-// rest Out), announces the match and halts. The tail side of the matched
-// edge learns from the announcement; the shared edge is committed only by
-// the head to keep commits single-writer, while the Definition 1 completion
-// of the tail follows from its incident edges' commits.
-func (n *iiNode) matchVia(ctx *runtime.Context, port int) {
-	for q, l := range n.live {
+// rest Out), announces the match and halts. Both endpoints of the matched
+// edge commit it, with the same value.
+func matchVia(ctx *runtime.Context, live []bool, port int) {
+	for q, l := range live {
 		if !l {
 			continue
 		}
 		ctx.CommitEdge(q, output(q == port))
 	}
-	ctx.Broadcast(matchedMsg{})
+	ctx.Broadcast(runtime.Message{Kind: kindMatched})
 	ctx.Halt()
 }
 

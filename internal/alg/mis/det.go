@@ -16,9 +16,13 @@ type Det struct{}
 // Name implements runtime.Algorithm.
 func (Det) Name() string { return "mis/det-coloring" }
 
-// Node implements runtime.Algorithm.
-func (Det) Node(view runtime.NodeView) runtime.Program {
-	return &detNode{mis: coloring.NewMIS(view.ID, view.N, view.MaxDegree)}
+// Nodes implements runtime.Algorithm.
+func (Det) Nodes(views []runtime.NodeView, progs []runtime.Program, slab any) any {
+	nodes := runtime.Slab[detNode](progs, slab)
+	for v := range *nodes {
+		(*nodes)[v].mis = coloring.NewMIS(views[v].ID, views[v].N, views[v].MaxDegree)
+	}
+	return nodes
 }
 
 type detNode struct{ mis coloring.MIS }

@@ -13,10 +13,17 @@
 //
 // Node outputs are int32: In (1) = in the MIS, Out (0) = covered by a
 // neighbor.
+//
+// Messages are runtime.Message values of two kinds. A lottery message
+// carries the sender's rank in Val (its bits as an int64) and, for
+// Ghaffari, the sender's marking probability 2^-Aux in Aux (Aux 0 for
+// probability 0); the sender's identifier, the rank tie-break, is read
+// from NeighborIDs. After the lottery every candidate announces whether it
+// joined (kindJoined) or not (kindDeclined).
 package mis
 
 import (
-	"math/rand/v2"
+	"math"
 
 	"avgloc/internal/graph"
 	"avgloc/internal/runtime"
@@ -37,13 +44,20 @@ const (
 	phaseLen
 )
 
-type lotteryMsg struct {
-	Rank uint64 // lottery value; lower wins
-	ID   int64  // tie-break
-	Prob float64
-}
+// Message kinds.
+const (
+	kindLottery uint32 = iota + 1
+	kindJoined
+	kindDeclined
+)
 
-type joinMsg struct{ Joined bool }
+// beats reports whether a lottery message from the neighbor with
+// identifier nbrID beats the node's own rank and identifier: lower ranks
+// win, ties go to the lower identifier.
+func beats(m runtime.Message, nbrID int64, rank uint64, id int64) bool {
+	r := uint64(m.Val)
+	return r < rank || (r == rank && nbrID < id)
+}
 
 // Luby is Luby's randomized MIS algorithm (permutation variant): in each
 // phase every active node draws a random rank and joins the MIS iff its
@@ -55,14 +69,12 @@ type Luby struct{}
 // Name implements runtime.Algorithm.
 func (Luby) Name() string { return "mis/luby" }
 
-// Node implements runtime.Algorithm.
-func (Luby) Node(view runtime.NodeView) runtime.Program {
-	return &lubyNode{rng: view.Rand, id: view.ID}
+// Nodes implements runtime.Algorithm.
+func (Luby) Nodes(_ []runtime.NodeView, progs []runtime.Program, slab any) any {
+	return runtime.Slab[lubyNode](progs, slab)
 }
 
 type lubyNode struct {
-	rng    *rand.Rand
-	id     int64
 	rank   uint64
 	joined bool
 }
@@ -70,43 +82,49 @@ type lubyNode struct {
 var _ runtime.Program = (*lubyNode)(nil)
 
 func (n *lubyNode) Round(ctx *runtime.Context, inbox []runtime.Message) {
+	view := ctx.View()
 	switch ctx.Round() % phaseLen {
 	case stepLottery:
-		n.rank = n.rng.Uint64()
-		ctx.Broadcast(lotteryMsg{Rank: n.rank, ID: n.id})
+		n.rank = view.Rand.Uint64()
+		ctx.Broadcast(runtime.Message{Kind: kindLottery, Val: int64(n.rank)})
 	case stepJoin:
 		best := true
-		for _, m := range inbox {
-			if m == nil {
-				continue
-			}
-			lm := m.(lotteryMsg)
-			if lm.Rank < n.rank || (lm.Rank == n.rank && lm.ID < n.id) {
+		for p, m := range inbox {
+			if m.Kind == kindLottery && beats(m, view.NeighborIDs[p], n.rank, view.ID) {
 				best = false
 				break
 			}
 		}
-		if best {
-			n.joined = true
-			ctx.CommitNode(In)
-			ctx.Broadcast(joinMsg{Joined: true})
-		} else {
-			ctx.Broadcast(joinMsg{Joined: false})
-		}
+		n.join(ctx, best)
 	case stepRetire:
-		if n.joined {
+		n.retire(ctx, inbox)
+	}
+}
+
+// join ends the lottery: a winner joins the MIS, and every candidate tells
+// its neighbors whether it joined.
+func (n *lubyNode) join(ctx *runtime.Context, win bool) {
+	if win {
+		n.joined = true
+		ctx.CommitNode(In)
+		ctx.Broadcast(runtime.Message{Kind: kindJoined})
+	} else {
+		ctx.Broadcast(runtime.Message{Kind: kindDeclined})
+	}
+}
+
+// retire halts a joined node, and a node with a joined neighbor after
+// committing Out.
+func (n *lubyNode) retire(ctx *runtime.Context, inbox []runtime.Message) {
+	if n.joined {
+		ctx.Halt()
+		return
+	}
+	for _, m := range inbox {
+		if m.Kind == kindJoined {
+			ctx.CommitNode(Out)
 			ctx.Halt()
 			return
-		}
-		for _, m := range inbox {
-			if m == nil {
-				continue
-			}
-			if m.(joinMsg).Joined {
-				ctx.CommitNode(Out)
-				ctx.Halt()
-				return
-			}
 		}
 	}
 }
@@ -122,42 +140,43 @@ type Ghaffari struct{}
 // Name implements runtime.Algorithm.
 func (Ghaffari) Name() string { return "mis/ghaffari" }
 
-// Node implements runtime.Algorithm.
-func (Ghaffari) Node(view runtime.NodeView) runtime.Program {
-	return &ghaffariNode{rng: view.Rand, id: view.ID, p: 0.5}
+// Nodes implements runtime.Algorithm.
+func (Ghaffari) Nodes(_ []runtime.NodeView, progs []runtime.Program, slab any) any {
+	nodes := runtime.Slab[ghaffariNode](progs, slab)
+	for v := range *nodes {
+		(*nodes)[v].p = 0.5
+	}
+	return nodes
 }
 
 type ghaffariNode struct {
-	rng    *rand.Rand
-	id     int64
-	p      float64
-	rank   uint64 // lottery value when marked; ^0 when unmarked
-	marked bool
-	joined bool
+	lubyNode         // rank is ^0 when unmarked
+	p        float64 // marking probability: 2^-k for some k >= 1, or 0
+	marked   bool
 }
 
 var _ runtime.Program = (*ghaffariNode)(nil)
 
 func (n *ghaffariNode) Round(ctx *runtime.Context, inbox []runtime.Message) {
+	view := ctx.View()
 	switch ctx.Round() % phaseLen {
 	case stepLottery:
-		n.marked = n.rng.Float64() < n.p
+		n.marked = view.Rand.Float64() < n.p
 		if n.marked {
-			n.rank = n.rng.Uint64()
+			n.rank = view.Rand.Uint64()
 		} else {
 			n.rank = ^uint64(0)
 		}
-		ctx.Broadcast(lotteryMsg{Rank: n.rank, ID: n.id, Prob: n.p})
+		ctx.Broadcast(runtime.Message{Kind: kindLottery, Aux: probExp(n.p), Val: int64(n.rank)})
 	case stepJoin:
 		var sum float64
 		win := n.marked
-		for _, m := range inbox {
-			if m == nil {
+		for p, m := range inbox {
+			if m.Kind != kindLottery {
 				continue
 			}
-			lm := m.(lotteryMsg)
-			sum += lm.Prob
-			if lm.Rank < n.rank || (lm.Rank == n.rank && lm.ID < n.id) {
+			sum += expProb(m.Aux)
+			if beats(m, view.NeighborIDs[p], n.rank, view.ID) {
 				win = false
 			}
 		}
@@ -167,28 +186,31 @@ func (n *ghaffariNode) Round(ctx *runtime.Context, inbox []runtime.Message) {
 		} else if n.p < 0.5 {
 			n.p = min(2*n.p, 0.5)
 		}
-		if win {
-			n.joined = true
-			ctx.CommitNode(In)
-			ctx.Broadcast(joinMsg{Joined: true})
-		} else {
-			ctx.Broadcast(joinMsg{Joined: false})
-		}
+		n.join(ctx, win)
 	case stepRetire:
-		if n.joined {
-			ctx.Halt()
-			return
-		}
-		for _, m := range inbox {
-			if m == nil {
-				continue
-			}
-			if m.(joinMsg).Joined {
-				ctx.CommitNode(Out)
-				ctx.Halt()
-				return
-			}
-		}
+		n.retire(ctx, inbox)
+	}
+}
+
+// probExp encodes a marking probability p = 2^-k (k >= 1) as k, and p = 0
+// as 0. Halving and capped doubling from 1/2 keep p in that set.
+func probExp(p float64) uint32 {
+	if p == 0 {
+		return 0
+	}
+	_, exp := math.Frexp(p) // p = 0.5 · 2^exp
+	return uint32(1 - exp)
+}
+
+// expProb decodes probExp exactly.
+func expProb(k uint32) float64 {
+	switch {
+	case k == 0:
+		return 0
+	case k < 1023: // a normal float: exponent field 1023-k, zero mantissa
+		return math.Float64frombits(uint64(1023-k) << 52)
+	default:
+		return math.Ldexp(1, -int(k))
 	}
 }
 

@@ -12,11 +12,16 @@
 // footnote 7) followed by an MIS finisher on the few remaining nodes.
 //
 // Node outputs are int32: In (1) = in the ruling set, Out (0) = not.
+//
+// Messages are runtime.Message values whose kinds are declared below; only
+// a Rand22 mark carries a payload, the sender's active degree in Aux. The
+// identifiers both algorithms compare are the senders', read from
+// NeighborIDs. Det numbers its kinds from coloring.FreeKind, above those
+// of the coloring stages it chains.
 package ruling
 
 import (
 	"math"
-	"math/rand/v2"
 
 	"avgloc/internal/alg/coloring"
 	"avgloc/internal/runtime"
@@ -44,25 +49,20 @@ const (
 	phaseLen
 )
 
-type aliveMsg struct{}
+// Rand22 message kinds.
+const (
+	kindAlive uint32 = iota + 1
+	kindMark         // Aux: the sender's active degree
+	kindRuler
+	kindCovered
+)
 
-type markMsg struct {
-	Deg int
-	ID  int64
-}
-
-type rulerMsg struct{}
-
-type coveredMsg struct{}
-
-// Node implements runtime.Algorithm.
-func (Rand22) Node(view runtime.NodeView) runtime.Program {
-	return &rand22Node{rng: view.Rand, id: view.ID}
+// Nodes implements runtime.Algorithm.
+func (Rand22) Nodes(_ []runtime.NodeView, progs []runtime.Program, slab any) any {
+	return runtime.Slab[rand22Node](progs, slab)
 }
 
 type rand22Node struct {
-	rng    *rand.Rand
-	id     int64
 	deg    int // active degree, refreshed each phase
 	marked bool
 }
@@ -72,17 +72,17 @@ var _ runtime.Program = (*rand22Node)(nil)
 func (n *rand22Node) Round(ctx *runtime.Context, inbox []runtime.Message) {
 	switch ctx.Round() % phaseLen {
 	case stepAlive:
-		ctx.Broadcast(aliveMsg{})
+		ctx.Broadcast(runtime.Message{Kind: kindAlive})
 	case stepMark:
 		n.deg = 0
 		for _, m := range inbox {
-			if _, ok := m.(aliveMsg); ok {
+			if m.Kind == kindAlive {
 				n.deg++
 			}
 		}
-		n.marked = n.rng.Float64() < 1/float64(n.deg+1)
+		n.marked = ctx.View().Rand.Float64() < 1/float64(n.deg+1)
 		if n.marked {
-			ctx.Broadcast(markMsg{Deg: n.deg, ID: n.id})
+			ctx.Broadcast(runtime.Message{Kind: kindMark, Aux: uint32(n.deg)})
 		}
 	case stepJoin:
 		if !n.marked {
@@ -90,34 +90,34 @@ func (n *rand22Node) Round(ctx *runtime.Context, inbox []runtime.Message) {
 		}
 		// Join unless a marked neighbor has higher priority: larger active
 		// degree, ties broken by larger identifier (Theorem 2).
+		view := ctx.View()
 		join := true
-		for _, m := range inbox {
-			mm, ok := m.(markMsg)
-			if !ok {
+		for p, m := range inbox {
+			if m.Kind != kindMark {
 				continue
 			}
-			if mm.Deg > n.deg || (mm.Deg == n.deg && mm.ID > n.id) {
+			if deg := int(m.Aux); deg > n.deg || (deg == n.deg && view.NeighborIDs[p] > view.ID) {
 				join = false
 				break
 			}
 		}
 		if join {
 			ctx.CommitNode(In)
-			ctx.Broadcast(rulerMsg{})
+			ctx.Broadcast(runtime.Message{Kind: kindRuler})
 			ctx.Halt()
 		}
 	case stepCover1:
 		for _, m := range inbox {
-			if _, ok := m.(rulerMsg); ok {
+			if m.Kind == kindRuler {
 				ctx.CommitNode(Out)
-				ctx.Broadcast(coveredMsg{})
+				ctx.Broadcast(runtime.Message{Kind: kindCovered})
 				ctx.Halt()
 				return
 			}
 		}
 	case stepCover2:
 		for _, m := range inbox {
-			if _, ok := m.(coveredMsg); ok {
+			if m.Kind == kindCovered {
 				ctx.CommitNode(Out)
 				ctx.Halt()
 				return
@@ -183,30 +183,59 @@ func (d Det) Iterations(n, maxDeg int) int {
 	return it
 }
 
-type censusMsg struct{ ID int64 }
+// Det message kinds, numbered above the coloring stages' kinds.
+const (
+	kindCensus     = coloring.FreeKind + iota // I am active
+	kindChosen                                // you are my pseudoforest parent
+	kindLeaf                                  // I am a pseudoforest leaf
+	kindLeafParent                            // I am a leaf's parent
+	kindRemoved                               // I left the pseudoforest
+)
 
-type chosenMsg struct{}
+// detSlab holds a Det run's programs and their port-indexed children
+// flags.
+type detSlab struct {
+	nodes    []detNode
+	children []bool
+}
 
-type leafMsg struct{}
-
-type leafParentMsg struct{}
-
-type removedMsg struct{}
-
-// Node implements runtime.Algorithm.
-func (d Det) Node(view runtime.NodeView) runtime.Program {
-	space := int64(view.N) * int64(view.N)
+// Nodes implements runtime.Algorithm.
+func (d Det) Nodes(views []runtime.NodeView, progs []runtime.Program, slab any) any {
+	s, _ := slab.(*detSlab)
+	if s == nil {
+		s = new(detSlab)
+	}
+	arcs := 0
+	for v := range views {
+		arcs += views[v].Degree
+	}
+	s.nodes = runtime.Reslice(s.nodes, len(views))
+	s.children = runtime.Reslice(s.children, arcs)
+	if len(views) == 0 {
+		return s
+	}
+	// N and MaxDegree are global, so every node shares one schedule.
+	n, maxDeg := views[0].N, views[0].MaxDegree
+	space := int64(n) * int64(n)
 	if space < 4 {
 		space = 4
 	}
 	bits := bitsFor64(space - 1)
-	return &detNode{
-		view:     view,
-		bits:     bits,
-		rounds:   d.iterationRounds(bits),
-		iters:    d.Iterations(view.N, view.MaxDegree),
-		children: make([]bool, view.Degree),
+	rounds, iters := d.iterationRounds(bits), d.Iterations(n, maxDeg)
+	children := s.children
+	for v := range s.nodes {
+		deg := views[v].Degree
+		s.nodes[v] = detNode{
+			view:     views[v],
+			bits:     bits,
+			rounds:   rounds,
+			iters:    iters,
+			children: children[:deg:deg],
+		}
+		children = children[deg:]
+		progs[v] = &s.nodes[v]
 	}
+	return s
 }
 
 // detPhase is the position of a node inside one halving iteration (or the
@@ -261,14 +290,14 @@ func (n *detNode) step(ctx *runtime.Context, inbox []runtime.Message) bool {
 	for {
 		switch n.phase {
 		case phaseCensus:
-			ctx.Broadcast(censusMsg{ID: n.view.ID})
+			ctx.Broadcast(runtime.Message{Kind: kindCensus})
 			n.phase = phaseChoose
 			return false
 		case phaseChoose:
 			n.parentPort = -1
 			for p, m := range inbox {
-				if cm, ok := m.(censusMsg); ok && (n.parentPort < 0 || cm.ID < n.parentID) {
-					n.parentPort, n.parentID = p, cm.ID
+				if id := n.view.NeighborIDs[p]; m.Kind == kindCensus && (n.parentPort < 0 || id < n.parentID) {
+					n.parentPort, n.parentID = p, id
 				}
 			}
 			if n.parentPort < 0 {
@@ -277,15 +306,14 @@ func (n *detNode) step(ctx *runtime.Context, inbox []runtime.Message) bool {
 				n.phase, n.idle = phaseIdle, n.rounds-1
 				return false
 			}
-			ctx.Send(n.parentPort, chosenMsg{})
+			ctx.Send(n.parentPort, runtime.Message{Kind: kindChosen})
 			n.phase = phaseLeaf
 			return false
 		case phaseLeaf:
 			degP := 0
 			for p, m := range inbox {
-				_, ok := m.(chosenMsg)
-				n.children[p] = ok
-				if ok {
+				n.children[p] = m.Kind == kindChosen
+				if n.children[p] {
 					degP++
 				}
 			}
@@ -296,14 +324,14 @@ func (n *detNode) step(ctx *runtime.Context, inbox []runtime.Message) bool {
 			}
 			n.isLeaf = degP == 1
 			if n.isLeaf {
-				ctx.Send(n.parentPort, leafMsg{})
+				ctx.Send(n.parentPort, runtime.Message{Kind: kindLeaf})
 			}
 			n.phase = phaseLeafParent
 			return false
 		case phaseLeafParent:
 			n.leafParent = false
 			for _, m := range inbox {
-				if _, ok := m.(leafMsg); ok {
+				if m.Kind == kindLeaf {
 					n.leafParent = true
 					break
 				}
@@ -311,21 +339,21 @@ func (n *detNode) step(ctx *runtime.Context, inbox []runtime.Message) bool {
 			// Pseudoforest neighbors of a leaf-parent leave the
 			// pseudoforest.
 			if n.leafParent {
-				ctx.Broadcast(leafParentMsg{})
+				ctx.Broadcast(runtime.Message{Kind: kindLeafParent})
 			}
 			n.phase = phaseRemoved
 			return false
 		case phaseRemoved:
 			n.removed = n.isLeaf || n.leafParent
 			for p, m := range inbox {
-				if _, ok := m.(leafParentMsg); ok && (p == n.parentPort || n.children[p]) {
+				if m.Kind == kindLeafParent && (p == n.parentPort || n.children[p]) {
 					n.removed = true
 				}
 			}
 			// Removed nodes tell their pseudoforest neighbors, so the rest
 			// knows its surviving pseudoforest parent.
 			if n.removed {
-				ctx.Broadcast(removedMsg{})
+				ctx.Broadcast(runtime.Message{Kind: kindRemoved})
 			}
 			n.phase = phaseDecide
 			return false
@@ -344,7 +372,7 @@ func (n *detNode) step(ctx *runtime.Context, inbox []runtime.Message) bool {
 				return false
 			}
 			cvParent := n.parentPort
-			if _, ok := inbox[n.parentPort].(removedMsg); ok {
+			if inbox[n.parentPort].Kind == kindRemoved {
 				cvParent = -1
 			}
 			n.cv = coloring.NewCV6(n.view.ID, n.bits, cvParent)

@@ -9,6 +9,7 @@ import (
 	"avgloc/internal/core"
 	"avgloc/internal/graph"
 	"avgloc/internal/runtime"
+	"avgloc/internal/runtime/runtimetest"
 )
 
 func TestMeasureRoundTrip(t *testing.T) {
@@ -46,23 +47,16 @@ func TestMeasureRoundTrip(t *testing.T) {
 }
 
 // badAlg claims MIS membership for everyone.
-type badAlg struct{}
-
-func (badAlg) Name() string { return "test/bad" }
-func (badAlg) Node(runtime.NodeView) runtime.Program {
-	return badProg{}
-}
-
-type badProg struct{}
-
-func (badProg) Round(ctx *runtime.Context, _ []runtime.Message) {
-	ctx.CommitNode(mis.In)
-	ctx.Halt()
-}
+var badAlg = runtimetest.Algorithm("test/bad", func(runtime.NodeView) runtimetest.Func {
+	return func(ctx *runtime.Context, _ []runtime.Message) {
+		ctx.CommitNode(mis.In)
+		ctx.Halt()
+	}
+})
 
 func TestMeasureRejectsInvalidOutputs(t *testing.T) {
 	g := graph.Complete(4)
-	if _, err := core.Measure(g, core.MIS, core.MessagePassing(badAlg{}), core.MeasureOptions{Trials: 1}); err == nil {
+	if _, err := core.Measure(g, core.MIS, core.MessagePassing(badAlg), core.MeasureOptions{Trials: 1}); err == nil {
 		t.Fatal("invalid MIS accepted")
 	}
 }

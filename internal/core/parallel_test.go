@@ -64,8 +64,8 @@ func TestMeasureParallelEqualsSequential(t *testing.T) {
 func TestMeasureParallelErrorIsDeterministic(t *testing.T) {
 	g := graph.Complete(4)
 	var seqErr, parErr error
-	_, seqErr = core.Measure(g, core.MIS, core.MessagePassing(badAlg{}), core.MeasureOptions{Trials: 5, Parallelism: 1})
-	_, parErr = core.Measure(g, core.MIS, core.MessagePassing(badAlg{}), core.MeasureOptions{Trials: 5, Parallelism: 4})
+	_, seqErr = core.Measure(g, core.MIS, core.MessagePassing(badAlg), core.MeasureOptions{Trials: 5, Parallelism: 1})
+	_, parErr = core.Measure(g, core.MIS, core.MessagePassing(badAlg), core.MeasureOptions{Trials: 5, Parallelism: 4})
 	if seqErr == nil || parErr == nil {
 		t.Fatal("expected validation errors")
 	}

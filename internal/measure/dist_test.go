@@ -27,27 +27,50 @@ func bruteQuantile(xs []float64, q float64) float64 {
 }
 
 // TestDistQuantilesMatchBruteForce validates the aggregator's exact
-// quantiles against an independent sort over randomized per-node times.
+// quantiles and histogram against an independent sort over randomized
+// per-node times. The cases fall on both sides of distOf's choice: it
+// counts when every per-node sum is at most n, and sorts otherwise.
 func TestDistQuantilesMatchBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(11, 12))
-	for _, n := range []int{1, 2, 7, 100, 1001} {
-		trials := 3
+	for _, c := range []struct {
+		n, span int // times are drawn from [0, span)
+		counted bool
+	}{
+		{1, 40, false},
+		{2, 40, false},
+		{7, 40, false},
+		{100, 40, false},
+		{1001, 40, true},
+		{300, 101, true}, // sums reach at most 300 = n: counted
+		{300, 102, false},
+		{5000, 30, true},
+		{5000, 20000, false},
+	} {
+		n, trials := c.n, 3
 		a := measure.NewAgg(n, 0)
 		sums := make([]float64, n)
 		for tr := 0; tr < trials; tr++ {
 			node := make([]int32, n)
 			for i := range node {
-				node[i] = int32(rng.IntN(40))
+				node[i] = int32(rng.IntN(c.span))
+				if i == 0 {
+					node[i] = int32(c.span - 1) // pin the largest sum
+				}
 				sums[i] += float64(node[i])
 			}
 			a.Add(measure.Times{Node: node})
 		}
+		if counted := sums[0] <= float64(n); counted != c.counted {
+			t.Fatalf("n=%d span=%d: largest sum %v, case must be counted=%v", n, c.span, sums[0], c.counted)
+		}
 		means := make([]float64, n)
+		var hist [measure.HistBuckets]int64
 		for i, s := range sums {
 			means[i] = s / float64(trials)
+			hist[bruteBucket(means[i])]++
 		}
 		d := a.Dist()
-		for _, c := range []struct {
+		for _, q := range []struct {
 			q    float64
 			got  float64
 			name string
@@ -57,15 +80,30 @@ func TestDistQuantilesMatchBruteForce(t *testing.T) {
 			{0.99, d.NodeQ.P99, "p99"},
 			{1.00, d.NodeQ.Max, "max"},
 		} {
-			want := bruteQuantile(means, c.q)
-			if c.got != want {
-				t.Fatalf("n=%d %s = %v, brute force says %v", n, c.name, c.got, want)
+			want := bruteQuantile(means, q.q)
+			if q.got != want {
+				t.Fatalf("n=%d span=%d %s = %v, brute force says %v", n, c.span, q.name, q.got, want)
 			}
 		}
 		if d.NodeQ.P50 > d.NodeQ.P90 || d.NodeQ.P90 > d.NodeQ.P99 || d.NodeQ.P99 > d.NodeQ.Max {
 			t.Fatalf("n=%d quantiles not monotone: %+v", n, d.NodeQ)
 		}
+		if d.NodeHist != hist {
+			t.Fatalf("n=%d span=%d histogram %v, brute force says %v", n, c.span, d.NodeHist, hist)
+		}
+		if d.NodeQ.Max != a.ExpNode() {
+			t.Fatalf("n=%d span=%d max %v != ExpNode %v", n, c.span, d.NodeQ.Max, a.ExpNode())
+		}
 	}
+}
+
+// bruteBucket is the log₂ bucket of t by repeated doubling.
+func bruteBucket(t float64) int {
+	b := 0
+	for bound := 1.0; t >= bound && b < measure.HistBuckets-1; bound *= 2 {
+		b++
+	}
+	return b
 }
 
 // TestDistHistogram pins the log₂ bucket boundaries: bucket 0 is [0,1),
@@ -125,22 +163,26 @@ func TestDistEmptyAgg(t *testing.T) {
 }
 
 // TestDistScratchReuse: repeated Dist calls on one aggregator are stable
-// (the shared scratch buffer must not corrupt results across calls).
+// (the shared scratch buffers must not corrupt results across calls). The
+// node times are small enough to be counted, and span is swept so that the
+// edge times are counted in one case and sorted in the other.
 func TestDistScratchReuse(t *testing.T) {
-	a := measure.NewAgg(64, 32)
-	rng := rand.New(rand.NewPCG(5, 6))
-	node, edge := make([]int32, 64), make([]int32, 32)
-	for i := range node {
-		node[i] = int32(rng.IntN(20))
-	}
-	for i := range edge {
-		edge[i] = int32(rng.IntN(20))
-	}
-	a.Add(measure.Times{Node: node, Edge: edge})
-	first := a.Dist()
-	for i := 0; i < 3; i++ {
-		if again := a.Dist(); again != first {
-			t.Fatalf("Dist call %d differs: %+v vs %+v", i+2, again, first)
+	for _, span := range []int{20, 1000} {
+		a := measure.NewAgg(64, 32)
+		rng := rand.New(rand.NewPCG(5, 6))
+		node, edge := make([]int32, 64), make([]int32, 32)
+		for i := range node {
+			node[i] = int32(rng.IntN(20))
+		}
+		for i := range edge {
+			edge[i] = int32(rng.IntN(span))
+		}
+		a.Add(measure.Times{Node: node, Edge: edge})
+		first := a.Dist()
+		for i := 0; i < 3; i++ {
+			if again := a.Dist(); again != first {
+				t.Fatalf("span %d: Dist call %d differs: %+v vs %+v", span, i+2, again, first)
+			}
 		}
 	}
 }

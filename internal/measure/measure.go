@@ -139,8 +139,8 @@ func WeightedNodeAvg(t Times, w []float64) (float64, error) {
 
 // Quantiles holds exact nearest-rank quantiles of a completion-time set:
 // for a sorted multiset of size k, the q-quantile is element ⌈q·k⌉−1. They
-// are computed by sorting, never by sketching, so tests can validate them
-// against an independent sort.
+// are computed exactly, by sorting or by counting integer sums, never by
+// sketching, so tests can validate them against an independent sort.
 type Quantiles struct {
 	P50 float64 `json:"p50"`
 	P90 float64 `json:"p90"`
@@ -209,10 +209,12 @@ type Agg struct {
 	runNodeAvg []float64
 	runEdgeAvg []float64
 	runWorst   []float64
-	// scratch is the shared sorted-scratch buffer of Dist: both quantile
-	// computations sort into it, so repeated Dist calls on a reused Agg
-	// allocate at most max(n, m) floats once.
+	// scratch and counts are the shared buffers of Dist's quantile passes:
+	// a counting pass counts into counts, a sorting pass sorts into
+	// scratch, so repeated Dist calls on a reused Agg allocate each at most
+	// once, of at most max(n, m)+1 elements.
 	scratch []float64
+	counts  []int
 }
 
 // NewAgg returns an aggregator for graphs with n nodes and m edges.
@@ -280,7 +282,7 @@ func (a *Agg) WorstMax() float64 {
 }
 
 // Dist computes the distribution block over the recorded trials. The
-// quantile sorts share one scratch buffer owned by the aggregator.
+// quantile passes share the scratch buffers owned by the aggregator.
 func (a *Agg) Dist() Dist {
 	var d Dist
 	if a.trials == 0 {
@@ -294,26 +296,74 @@ func (a *Agg) Dist() Dist {
 }
 
 // distOf computes quantiles and the log₂ histogram of the per-element mean
-// times sums[i]/trials, sorting into the shared scratch buffer.
+// times sums[i]/trials. The means rise with the sums, so the sums' nearest
+// ranks are the means' ranks. When every sum is a non-negative integer no
+// larger than len(sums) — completion times are integer rounds — a counting
+// pass ranks them in O(len(sums)); otherwise distOf sorts the means into
+// the shared scratch buffer. The bound keeps the count array no larger
+// than the input, whatever the trial count.
 func (a *Agg) distOf(sums []float64) (Quantiles, [HistBuckets]int64) {
 	var q Quantiles
 	var hist [HistBuckets]int64
 	if len(sums) == 0 {
 		return q, hist
 	}
+	// Divide (not multiply by a reciprocal) so the means match ExpNode /
+	// ExpEdge bit for bit.
+	trials := float64(a.trials)
+	if a.countSums(sums) {
+		k := len(sums)
+		ranks := [...]int{nearestRank(k, 0.50), nearestRank(k, 0.90), nearestRank(k, 0.99)}
+		var at [len(ranks)]float64
+		j, seen := 0, 0
+		for s, c := range a.counts {
+			if c == 0 {
+				continue
+			}
+			x := float64(s) / trials
+			hist[histBucket(x)] += int64(c)
+			seen += c
+			for ; j < len(ranks) && ranks[j] < seen; j++ {
+				at[j] = x
+			}
+		}
+		top := float64(len(a.counts)-1) / trials
+		return Quantiles{P50: at[0], P90: at[1], P99: at[2], Max: top}, hist
+	}
 	if cap(a.scratch) < len(sums) {
 		a.scratch = make([]float64, len(sums))
 	}
 	xs := a.scratch[:len(sums)]
-	// Divide (not multiply by a reciprocal) so the means match ExpNode /
-	// ExpEdge bit for bit.
-	trials := float64(a.trials)
 	for i, s := range sums {
 		xs[i] = s / trials
 		hist[histBucket(xs[i])]++
 	}
 	sort.Float64s(xs)
 	return quantilesSorted(xs), hist
+}
+
+// countSums counts the values of sums into a.counts, which then has
+// length max(sums)+1, and reports true — unless some sum is negative, not
+// an integer, or larger than len(sums), in which case it counts nothing
+// and reports false.
+func (a *Agg) countSums(sums []float64) bool {
+	var top float64
+	for _, s := range sums {
+		if !(s >= 0 && s <= float64(len(sums))) || s != math.Trunc(s) {
+			return false
+		}
+		top = math.Max(top, s)
+	}
+	k := int(top) + 1
+	if cap(a.counts) < k {
+		a.counts = make([]int, k)
+	}
+	a.counts = a.counts[:k]
+	clear(a.counts)
+	for _, s := range sums {
+		a.counts[int(s)]++
+	}
+	return true
 }
 
 // histBucket maps a completion time to its log₂ bucket.
@@ -329,16 +379,16 @@ func histBucket(t float64) int {
 }
 
 // quantileSorted is the exact nearest-rank quantile of a sorted non-empty
-// slice: element ⌈q·k⌉−1.
+// slice.
 func quantileSorted(xs []float64, q float64) float64 {
-	i := int(math.Ceil(q*float64(len(xs)))) - 1
-	if i < 0 {
-		i = 0
-	}
-	if i >= len(xs) {
-		i = len(xs) - 1
-	}
-	return xs[i]
+	return xs[nearestRank(len(xs), q)]
+}
+
+// nearestRank is the index ⌈q·k⌉−1 of the nearest-rank q-quantile in a
+// sorted set of k > 0 elements.
+func nearestRank(k int, q float64) int {
+	i := int(math.Ceil(q*float64(k))) - 1
+	return min(max(i, 0), k-1)
 }
 
 // sampleVar is the unbiased sample variance (0 for fewer than 2 samples).

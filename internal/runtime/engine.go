@@ -35,8 +35,10 @@ type execution struct {
 	edgeRound []int32 // CommitEdge round per sender arc; -1 = uncommitted
 	nbrIDs    []int64 // NeighborIDs arena
 
-	// Node-indexed arenas.
+	// Node-indexed arenas. slab is what alg.Nodes returned for progs; it
+	// goes back to the next run's Nodes.
 	progs  []Program
+	slab   any
 	ctxs   []Context
 	views  []NodeView
 	rngs   []rand.Rand
@@ -131,14 +133,15 @@ func (ex *execution) reset(alg Algorithm, cfg Config) {
 		ex.ctxs[v] = Context{ex: ex, v: int32(v), base: lo, nodeRound: -1}
 		ex.haltAt[v] = -1
 		ex.active[v] = int32(v)
-		ex.progs[v] = alg.Node(ex.views[v])
 	}
+	clear(ex.progs)
+	ex.slab = alg.Nodes(ex.views, ex.progs, ex.slab)
 }
 
 // step runs node v for the current round against its inbox; its sends
 // have already landed in the next-round buffer when Round returns. The
 // inbox is cleared after delivery, which keeps the double buffer clean
-// without a full O(m) sweep per round: a slot is non-nil only while it
+// without a full O(m) sweep per round: a slot is non-empty only while it
 // carries an undelivered message for a live node.
 func (ex *execution) step(v int32) {
 	inbox := ex.cur[ex.offsets[v]:ex.offsets[v+1]]

@@ -4,40 +4,38 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"avgloc/internal/alg/mis"
 	"avgloc/internal/graph"
 	"avgloc/internal/ids"
 	"avgloc/internal/runtime"
+	"avgloc/internal/runtime/runtimetest"
 )
 
 // instantHalt commits and halts in round 0: running it measures pure engine
 // setup plus one trivial round.
-type instantHalt struct{}
-
-func (instantHalt) Name() string { return "bench/instant" }
-func (instantHalt) Node(runtime.NodeView) runtime.Program {
-	return progFunc(func(ctx *runtime.Context, _ []runtime.Message) {
+var instantHalt = runtimetest.Algorithm("bench/instant", func(runtime.NodeView) runtimetest.Func {
+	return func(ctx *runtime.Context, _ []runtime.Message) {
 		ctx.CommitNode(0)
 		ctx.Halt()
-	})
-}
+	}
+})
 
 // sparseTail halts everything in round 0 except one node in a hundred,
 // which broadcasts for `tail` rounds first — the paper's averaged regime in
 // caricature (1% live frontier).
-type sparseTail struct{ tail int }
-
-func (sparseTail) Name() string { return "bench/sparse-tail" }
-func (s sparseTail) Node(view runtime.NodeView) runtime.Program {
-	live := view.ID%100 == 0
-	return progFunc(func(ctx *runtime.Context, _ []runtime.Message) {
-		if !live || ctx.Round() >= s.tail {
-			if !ctx.HasCommitted() {
-				ctx.CommitNode(int32(ctx.Round()))
+func sparseTail(tail int) runtime.Algorithm {
+	return runtimetest.Algorithm("bench/sparse-tail", func(view runtime.NodeView) runtimetest.Func {
+		live := view.ID%100 == 0
+		return func(ctx *runtime.Context, _ []runtime.Message) {
+			if !live || ctx.Round() >= tail {
+				if !ctx.HasCommitted() {
+					ctx.CommitNode(int32(ctx.Round()))
+				}
+				ctx.Halt()
+				return
 			}
-			ctx.Halt()
-			return
+			ctx.Broadcast(runtime.Message{Kind: 1})
 		}
-		ctx.Broadcast(1)
 	})
 }
 
@@ -53,7 +51,7 @@ func BenchmarkEngineSetup(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := runtime.Run(g, instantHalt{}, cfg); err != nil {
+		if _, err := runtime.Run(g, instantHalt, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -70,7 +68,7 @@ func BenchmarkEngineSetupReused(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(instantHalt{}, cfg); err != nil {
+		if _, err := eng.Run(instantHalt, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -88,12 +86,29 @@ func BenchmarkRoundSparseFrontier(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := eng.Run(sparseTail{tail: 256}, cfg)
+		res, err := eng.Run(sparseTail(256), cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if res.Rounds != 256 {
 			b.Fatalf("rounds = %d", res.Rounds)
+		}
+	}
+}
+
+// BenchmarkEngineRunLuby runs mis/luby on one reused engine over a
+// 131072-node 8-regular graph, the scale of the large sweeps: the message
+// round loop, program slab reuse and the Result columns, per trial.
+func BenchmarkEngineRunLuby(b *testing.B) {
+	rng := rand.New(rand.NewPCG(5, 6))
+	g := graph.RandomRegular(131072, 8, rng)
+	assignment := ids.RandomPerm(g.N(), rng)
+	eng := runtime.NewEngine(g)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := eng.Run(mis.Luby{}, runtime.Config{IDs: assignment, Seed: uint64(i)}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -28,6 +28,7 @@ func referenceRun(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 	}
 	nodes := make([]*execution, n)
 	ctxs := make([]*Context, n)
+	views := make([]NodeView, n)
 	progs := make([]Program, n)
 	halted := make([]bool, n)
 	haltAt := make([]int32, n)
@@ -39,7 +40,7 @@ func referenceRun(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 		for p := 0; p < deg; p++ {
 			nbrIDs[p] = cfg.IDs[g.Neighbor(v, p)]
 		}
-		view := NodeView{
+		views[v] = NodeView{
 			ID:          cfg.IDs[v],
 			Degree:      deg,
 			NeighborIDs: nbrIDs,
@@ -48,7 +49,7 @@ func referenceRun(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 			Rand:        rand.New(rand.NewPCG(cfg.Seed, uint64(v)*0x9E3779B97F4A7C15+0xD1B54A32D192ED03)),
 		}
 		node := &execution{
-			views:     []NodeView{view},
+			views:     views[v : v+1],
 			twin:      make([]int32, deg),
 			next:      make([]Message, deg), // the node's outbox
 			sentAt:    make([]int32, deg),
@@ -63,10 +64,10 @@ func referenceRun(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 		nodes[v] = node
 		ctxs[v] = &Context{ex: node, nodeRound: -1}
 		haltAt[v] = -1
-		progs[v] = alg.Node(view)
 		cur[v] = make([]Message, deg)
 		next[v] = make([]Message, deg)
 	}
+	alg.Nodes(views, progs, nil)
 	live := n
 	round := int32(0)
 	for {
@@ -78,9 +79,9 @@ func referenceRun(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 			progs[v].Round(ctxs[v], cur[v])
 			outbox := nodes[v].next
 			for p, m := range outbox {
-				if m != nil {
+				if m.Kind != 0 {
 					next[g.Neighbor(v, p)][g.TwinPort(v, p)] = m
-					outbox[p] = nil
+					outbox[p] = Message{}
 				}
 			}
 		}
@@ -99,9 +100,7 @@ func referenceRun(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 		}
 		cur, next = next, cur
 		for v := range next {
-			for p := range next[v] {
-				next[v][p] = nil
-			}
+			clear(next[v])
 		}
 		round++
 	}
@@ -151,8 +150,14 @@ type refAlgFunc struct {
 	node func(view NodeView) refProgFunc
 }
 
-func (a refAlgFunc) Name() string               { return a.name }
-func (a refAlgFunc) Node(view NodeView) Program { return a.node(view) }
+func (a refAlgFunc) Name() string { return a.name }
+
+func (a refAlgFunc) Nodes(views []NodeView, progs []Program, _ any) any {
+	for v := range views {
+		progs[v] = a.node(views[v])
+	}
+	return nil
+}
 
 // coinGossip is a randomized algorithm exercising every Context facility:
 // per-node PRNG, messages, node commits, edge commits (from both sides) and
@@ -164,8 +169,8 @@ func coinGossip() Algorithm {
 			heads := 0
 			return func(ctx *Context, inbox []Message) {
 				for _, m := range inbox {
-					if m != nil {
-						heads += m.(int)
+					if m.Kind != 0 {
+						heads += int(m.Val)
 					}
 				}
 				if view.Rand.Uint64()%4 == 0 || ctx.Round() > 20 {
@@ -182,7 +187,7 @@ func coinGossip() Algorithm {
 					ctx.Halt()
 					return
 				}
-				ctx.Broadcast(int(view.Rand.Uint64() % 2))
+				ctx.Broadcast(Message{Kind: 1, Val: int64(view.Rand.Uint64() % 2)})
 			}
 		},
 	}
@@ -245,7 +250,7 @@ func TestEngineReuseAfterAbort(t *testing.T) {
 	chatter := refAlgFunc{
 		name: "test/chatter",
 		node: func(view NodeView) refProgFunc {
-			return func(ctx *Context, _ []Message) { ctx.Broadcast(1) }
+			return func(ctx *Context, _ []Message) { ctx.Broadcast(Message{Kind: 1}) }
 		},
 	}
 	eng := NewEngine(g)

@@ -22,11 +22,14 @@
 //
 // Engine binds the executor to one graph and reuses its internal arenas
 // across runs, which makes repeated trials on the same graph (the shape of
-// every measurement loop in internal/core) allocation-light. The arenas
-// are indexed by the graph's own arcs: the engine borrows the graph's CSR
-// offsets and twin-arc array rather than copying them, and a Send writes
-// the message straight into the receiving arc's slot of the next-round
-// buffer, so there is no outbox and no scatter pass.
+// every measurement loop in internal/core) allocation-free in the round
+// loop. The arenas are indexed by the graph's own arcs: the engine borrows
+// the graph's CSR offsets and twin-arc array rather than copying them, and
+// a Send writes the message — a fixed 16-byte value holding no pointers —
+// straight into the receiving arc's slot of the next-round buffer, so there
+// is no outbox, no scatter pass, no boxing and nothing for the garbage
+// collector to scan. An Algorithm builds the programs of all nodes at once
+// into one slab, which the engine hands back to it on the next run.
 package runtime
 
 import (
@@ -37,9 +40,20 @@ import (
 	"avgloc/internal/graph"
 )
 
-// Message is an opaque payload delivered to a neighbor one round after
-// being sent. Implementations should be immutable values.
-type Message any
+// Message is the payload a node sends to one neighbor, delivered one round
+// later. It is a fixed 16-byte value holding no pointers, so the engine's
+// message buffers need no boxing, write barriers or GC scanning. Kind says
+// what the message means: every algorithm package declares its kinds as
+// constants from 1, and Kind 0 is the empty slot — an inbox entry with
+// Kind 0 means no message arrived on that port, and sending one is a run
+// error. Aux and Val carry the payload the kind defines. Identifiers need
+// not ride in a message: the receiver reads the sender's from
+// NodeView.NeighborIDs.
+type Message struct {
+	Kind uint32
+	Aux  uint32
+	Val  int64
+}
 
 // NodeView is the static local information a node starts with: its own
 // identifier, port-numbered neighborhood with neighbor identifiers (the
@@ -55,19 +69,56 @@ type NodeView struct {
 }
 
 // Program is the per-node state machine. Round is invoked once per
-// synchronous round with the messages received on each port (nil entries
-// mean no message). The first invocation has ctx.Round() == 0 and an empty
-// inbox: outputs committed there depend on purely local information.
+// synchronous round with the messages received on each port (entries with
+// Kind 0 mean no message). The first invocation has ctx.Round() == 0 and
+// an empty inbox: outputs committed there depend on purely local
+// information.
 type Program interface {
 	Round(ctx *Context, inbox []Message)
 }
 
-// Algorithm constructs a fresh Program per node.
+// Algorithm builds the programs of a run.
 type Algorithm interface {
 	// Name identifies the algorithm in reports and benchmarks.
 	Name() string
-	// Node returns the program for a node with the given view.
-	Node(view NodeView) Program
+	// Nodes sets progs[v] to a fresh program for the node with view
+	// views[v], for every v (len(progs) == len(views)). slab is what
+	// Nodes returned on the engine's previous run, or nil on its first:
+	// the algorithm keeps its programs and their per-node or per-port
+	// scratch in one slab, reuses it when slab is its own kind with room
+	// enough (see Slab and Reslice), and returns it for the next run.
+	// Nothing of a previous run may leak into the new programs.
+	Nodes(views []NodeView, progs []Program, slab any) any
+}
+
+// Reslice returns s with length n and every element zeroed, reusing its
+// array when it has the capacity. Algorithms carve their slabs with it.
+func Reslice[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// Slab is Nodes for an algorithm whose slab is just its programs, one T
+// per node: it reuses slab when it is the *[]T an earlier call returned,
+// zeroes len(progs) programs in it, points progs[v] at the v-th, and
+// returns the slab.
+func Slab[T any, P interface {
+	*T
+	Program
+}](progs []Program, slab any) *[]T {
+	nodes, _ := slab.(*[]T)
+	if nodes == nil {
+		nodes = new([]T)
+	}
+	*nodes = Reslice(*nodes, len(progs))
+	for v := range *nodes {
+		progs[v] = P(&(*nodes)[v])
+	}
+	return nodes
 }
 
 // OutputKind describes where a problem's outputs live, which determines the
@@ -117,33 +168,46 @@ func (c *Context) badPort(what string, port int) {
 // Send delivers a message on the given port next round: it is written
 // straight into the receiver's inbox slot of the next-round buffer. At
 // most one message per port per round may be sent (bundle payloads into
-// one message value instead); violations, nil messages and ports outside
-// [0, Degree) are reported as run errors and deliver nothing.
+// one message value instead); violations, empty messages (Kind 0) and
+// ports outside [0, Degree) are reported as run errors and deliver
+// nothing.
 func (c *Context) Send(port int, m Message) {
-	ex := c.ex
-	if uint(port) >= uint(ex.views[c.v].Degree) {
+	if uint(port) >= uint(c.ex.views[c.v].Degree) {
 		c.badPort("sent on", port)
 		return
 	}
 	a := c.base + int32(port)
-	if m == nil {
-		c.fail("runtime: node %d sent nil on port %d in round %d", ex.views[c.v].ID, port, ex.round)
-		return
-	}
-	if ex.sentAt[a] == ex.round {
-		c.fail("runtime: node %d sent twice on port %d in round %d", ex.views[c.v].ID, port, ex.round)
-		return
-	}
-	ex.sentAt[a] = ex.round
-	ex.messages++
-	ex.next[ex.twin[a]] = m
+	c.sendArcs(a, a+1, m)
 }
 
 // Broadcast sends the same message on every port.
 func (c *Context) Broadcast(m Message) {
-	for p := range c.ex.views[c.v].Degree {
-		c.Send(p, m)
+	c.sendArcs(c.base, c.base+int32(c.ex.views[c.v].Degree), m)
+}
+
+// sendArcs sends m on each of the node's own arcs lo..hi-1.
+func (c *Context) sendArcs(lo, hi int32, m Message) {
+	ex := c.ex
+	round, sentAt, next, twin := ex.round, ex.sentAt[lo:hi], ex.next, ex.twin[lo:hi]
+	for i := range sentAt {
+		if m.Kind == 0 || sentAt[i] == round {
+			c.badSend(lo+int32(i), m)
+			continue
+		}
+		sentAt[i] = round
+		ex.messages++
+		next[twin[i]] = m
 	}
+}
+
+// badSend records the run error of a send on arc a that delivers nothing.
+func (c *Context) badSend(a int32, m Message) {
+	port := a - c.base
+	if m.Kind == 0 {
+		c.fail("runtime: node %d sent an empty message on port %d in round %d", c.ex.views[c.v].ID, port, c.ex.round)
+		return
+	}
+	c.fail("runtime: node %d sent twice on port %d in round %d", c.ex.views[c.v].ID, port, c.ex.round)
 }
 
 // CommitNode irrevocably fixes this node's output at the current round.
@@ -235,10 +299,11 @@ func DefaultMaxRounds(n int) int {
 // CSR offsets and twin-arc array as its topology and sizes its buffers once
 // from the graph: the message double buffer, the per-arc send stamps, edge
 // output and edge commit columns and neighbor-ID arena, and the per-node
-// contexts, views and PRNGs. Every Run reuses them, so repeated trials on
-// the same graph — the shape of every measurement loop — cost O(1)
-// allocations per run plus whatever the algorithm's per-node programs
-// allocate.
+// contexts, views and PRNGs. Every Run reuses them, and hands the
+// algorithm back the program slab of the previous run, so repeated trials
+// on the same graph — the shape of every measurement loop — cost O(1)
+// allocations per run (the Result columns) plus whatever the programs
+// allocate as they run.
 //
 // An Engine is not safe for concurrent use; give each worker its own.
 // Results returned by Run never alias engine buffers and stay valid after

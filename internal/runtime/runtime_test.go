@@ -7,58 +7,48 @@ import (
 	"strings"
 	"testing"
 
+	"avgloc/internal/alg/coloring"
+	"avgloc/internal/alg/matching"
 	"avgloc/internal/alg/mis"
+	"avgloc/internal/alg/ruling"
 	"avgloc/internal/graph"
 	"avgloc/internal/ids"
 	"avgloc/internal/runtime"
+	"avgloc/internal/runtime/runtimetest"
 )
 
 // constant commits immediately without communication.
-type constant struct{}
-
-func (constant) Name() string { return "test/constant" }
-func (constant) Node(runtime.NodeView) runtime.Program {
-	return progFunc(func(ctx *runtime.Context, _ []runtime.Message) {
+var constant = runtimetest.Algorithm("test/constant", func(runtime.NodeView) runtimetest.Func {
+	return func(ctx *runtime.Context, _ []runtime.Message) {
 		ctx.CommitNode(42)
 		ctx.Halt()
-	})
-}
-
-type progFunc func(*runtime.Context, []runtime.Message)
-
-func (f progFunc) Round(ctx *runtime.Context, inbox []runtime.Message) { f(ctx, inbox) }
+	}
+})
 
 // floodMax floods the maximum identifier for k rounds, then commits it.
-type floodMax struct{ k int }
-
-func (f floodMax) Name() string { return "test/floodmax" }
-func (f floodMax) Node(view runtime.NodeView) runtime.Program {
-	best := view.ID
-	return progFunc(func(ctx *runtime.Context, inbox []runtime.Message) {
-		for _, m := range inbox {
-			if m == nil {
-				continue
+func floodMax(k int) runtime.Algorithm {
+	return runtimetest.Algorithm("test/floodmax", func(view runtime.NodeView) runtimetest.Func {
+		best := view.ID
+		return func(ctx *runtime.Context, inbox []runtime.Message) {
+			for _, m := range inbox {
+				if m.Kind != 0 && m.Val > best {
+					best = m.Val
+				}
 			}
-			if id := m.(int64); id > best {
-				best = id
+			if ctx.Round() == k {
+				ctx.CommitNode(int32(best))
+				ctx.Halt()
+				return
 			}
+			ctx.Broadcast(runtime.Message{Kind: 1, Val: best})
 		}
-		if ctx.Round() == f.k {
-			ctx.CommitNode(int32(best))
-			ctx.Halt()
-			return
-		}
-		ctx.Broadcast(best)
 	})
 }
 
 // edgeMin commits each edge with the smaller endpoint identifier, from both
 // sides, exercising double edge commits.
-type edgeMin struct{}
-
-func (edgeMin) Name() string { return "test/edgemin" }
-func (edgeMin) Node(view runtime.NodeView) runtime.Program {
-	return progFunc(func(ctx *runtime.Context, _ []runtime.Message) {
+var edgeMin = runtimetest.Algorithm("test/edgemin", func(view runtime.NodeView) runtimetest.Func {
+	return func(ctx *runtime.Context, _ []runtime.Message) {
 		for p := 0; p < view.Degree; p++ {
 			v := view.ID
 			if u := view.NeighborIDs[p]; u < v {
@@ -67,8 +57,8 @@ func (edgeMin) Node(view runtime.NodeView) runtime.Program {
 			ctx.CommitEdge(p, int32(v))
 		}
 		ctx.Halt()
-	})
-}
+	}
+})
 
 func run(t *testing.T, g *graph.Graph, alg runtime.Algorithm, cfg runtime.Config) *runtime.Result {
 	t.Helper()
@@ -81,7 +71,7 @@ func run(t *testing.T, g *graph.Graph, alg runtime.Algorithm, cfg runtime.Config
 
 func TestConstantCommitsAtRoundZero(t *testing.T) {
 	g := graph.Cycle(5)
-	res := run(t, g, constant{}, runtime.Config{IDs: ids.Sequential(5)})
+	res := run(t, g, constant, runtime.Config{IDs: ids.Sequential(5)})
 	if res.Rounds != 0 {
 		t.Fatalf("rounds = %d, want 0", res.Rounds)
 	}
@@ -105,7 +95,7 @@ func TestFloodMaxReachesEccentricity(t *testing.T) {
 	g := graph.Path(n)
 	assignment := ids.Sequential(n) // node 9 holds the max id
 	k := 4
-	res := run(t, g, floodMax{k: k}, runtime.Config{IDs: assignment})
+	res := run(t, g, floodMax(k), runtime.Config{IDs: assignment})
 	for v := 0; v < n; v++ {
 		want := int64(v + k) // best id within distance k along the path
 		if want > int64(n-1) {
@@ -130,7 +120,7 @@ func TestFloodMaxReachesEccentricity(t *testing.T) {
 
 func TestEdgeCommitsMergeConsistently(t *testing.T) {
 	g := graph.Complete(4)
-	res := run(t, g, edgeMin{}, runtime.Config{IDs: ids.Sequential(4)})
+	res := run(t, g, edgeMin, runtime.Config{IDs: ids.Sequential(4)})
 	for e := 0; e < g.M(); e++ {
 		u, _ := g.Endpoints(e)
 		if res.EdgeOut[e] != int32(u) {
@@ -143,57 +133,48 @@ func TestEdgeCommitsMergeConsistently(t *testing.T) {
 }
 
 // conflicting commits different edge values from the two endpoints.
-type conflicting struct{}
-
-func (conflicting) Name() string { return "test/conflict" }
-func (conflicting) Node(view runtime.NodeView) runtime.Program {
-	return progFunc(func(ctx *runtime.Context, _ []runtime.Message) {
+var conflicting = runtimetest.Algorithm("test/conflict", func(view runtime.NodeView) runtimetest.Func {
+	return func(ctx *runtime.Context, _ []runtime.Message) {
 		for p := 0; p < view.Degree; p++ {
 			ctx.CommitEdge(p, int32(view.ID)) // each side commits its own id
 		}
 		ctx.Halt()
-	})
-}
+	}
+})
 
 func TestInconsistentEdgeCommitIsAnError(t *testing.T) {
 	g := graph.Path(2)
-	_, err := runtime.Run(g, conflicting{}, runtime.Config{IDs: ids.Sequential(2)})
+	_, err := runtime.Run(g, conflicting, runtime.Config{IDs: ids.Sequential(2)})
 	if err == nil {
 		t.Fatal("expected inconsistency error")
 	}
 }
 
 // never runs forever.
-type never struct{}
-
-func (never) Name() string { return "test/never" }
-func (never) Node(runtime.NodeView) runtime.Program {
-	return progFunc(func(ctx *runtime.Context, _ []runtime.Message) {})
-}
+var never = runtimetest.Algorithm("test/never", func(runtime.NodeView) runtimetest.Func {
+	return func(*runtime.Context, []runtime.Message) {}
+})
 
 func TestRoundLimit(t *testing.T) {
 	g := graph.Cycle(3)
-	_, err := runtime.Run(g, never{}, runtime.Config{IDs: ids.Sequential(3), MaxRounds: 7})
+	_, err := runtime.Run(g, never, runtime.Config{IDs: ids.Sequential(3), MaxRounds: 7})
 	if !errors.Is(err, runtime.ErrRoundLimit) {
 		t.Fatalf("got %v, want ErrRoundLimit", err)
 	}
 }
 
 // doubleCommit commits the node output twice.
-type doubleCommit struct{}
-
-func (doubleCommit) Name() string { return "test/double" }
-func (doubleCommit) Node(runtime.NodeView) runtime.Program {
-	return progFunc(func(ctx *runtime.Context, _ []runtime.Message) {
+var doubleCommit = runtimetest.Algorithm("test/double", func(runtime.NodeView) runtimetest.Func {
+	return func(ctx *runtime.Context, _ []runtime.Message) {
 		ctx.CommitNode(1)
 		ctx.CommitNode(2)
 		ctx.Halt()
-	})
-}
+	}
+})
 
 func TestDoubleCommitIsAnError(t *testing.T) {
 	g := graph.Path(2)
-	if _, err := runtime.Run(g, doubleCommit{}, runtime.Config{IDs: ids.Sequential(2)}); err == nil {
+	if _, err := runtime.Run(g, doubleCommit, runtime.Config{IDs: ids.Sequential(2)}); err == nil {
 		t.Fatal("expected double-commit error")
 	}
 }
@@ -228,53 +209,81 @@ func TestGhaffariProducesMIS(t *testing.T) {
 
 func TestIDValidation(t *testing.T) {
 	g := graph.Cycle(4)
-	if _, err := runtime.Run(g, constant{}, runtime.Config{IDs: ids.Sequential(3)}); err == nil {
+	if _, err := runtime.Run(g, constant, runtime.Config{IDs: ids.Sequential(3)}); err == nil {
 		t.Fatal("expected id-length error")
 	}
 }
 
-// badPort has node 0 send on and commit ports outside [0, Degree) in round
-// 0; in round 1 every node counts the messages it received.
-type badPort struct{ received *int }
-
-func (badPort) Name() string { return "test/bad-port" }
-func (b badPort) Node(view runtime.NodeView) runtime.Program {
-	return progFunc(func(ctx *runtime.Context, inbox []runtime.Message) {
-		if ctx.Round() == 0 {
-			if view.ID == 0 {
-				ctx.Send(view.Degree, 1)
-				ctx.Send(-1, 1)
-				ctx.CommitEdge(view.Degree, 1)
+// badSender has node 0 misbehave through send(ctx) in round 0; in round 1
+// every node counts the messages it received.
+func badSender(received *int, send func(ctx *runtime.Context, view runtime.NodeView)) runtime.Algorithm {
+	return runtimetest.Algorithm("test/bad-sender", func(view runtime.NodeView) runtimetest.Func {
+		return func(ctx *runtime.Context, inbox []runtime.Message) {
+			if ctx.Round() == 0 {
+				if view.ID == 0 {
+					send(ctx, view)
+				}
+				return
 			}
-			return
-		}
-		for _, m := range inbox {
-			if m != nil {
-				*b.received++
+			for _, m := range inbox {
+				if m.Kind != 0 {
+					*received++
+				}
 			}
+			ctx.Halt()
 		}
-		ctx.Halt()
 	})
+}
+
+// runBadSender runs badSender on a 4-cycle and checks that the run fails
+// with an error mentioning each of want, and that node 0's neighbors
+// received exactly delivered messages.
+func runBadSender(t *testing.T, delivered int, send func(*runtime.Context, runtime.NodeView), want ...string) {
+	t.Helper()
+	received := 0
+	g := graph.Cycle(4)
+	_, err := runtime.Run(g, badSender(&received, send), runtime.Config{IDs: ids.Sequential(4)})
+	if err == nil {
+		t.Fatal("bad sends accepted")
+	}
+	for _, w := range want {
+		if !strings.Contains(err.Error(), w) {
+			t.Fatalf("error %q does not mention %q", err, w)
+		}
+	}
+	if received != delivered {
+		t.Fatalf("%d messages delivered, want %d", received, delivered)
+	}
 }
 
 // TestBadPortIsRunError: a port outside [0, Degree) is a run error naming
 // the node and the port, and the message reaches no one — the arc-indexed
 // arenas must never let it spill into a neighbor's arcs.
 func TestBadPortIsRunError(t *testing.T) {
-	received := 0
-	g := graph.Cycle(4)
-	_, err := runtime.Run(g, badPort{&received}, runtime.Config{IDs: ids.Sequential(4)})
-	if err == nil {
-		t.Fatal("bad ports accepted")
-	}
-	for _, want := range []string{"3 commit errors", "node 0 sent on port 2 outside [0,2)"} {
-		if !strings.Contains(err.Error(), want) {
-			t.Fatalf("error %q does not mention %q", err, want)
-		}
-	}
-	if received != 0 {
-		t.Fatalf("%d messages delivered from bad ports", received)
-	}
+	runBadSender(t, 0, func(ctx *runtime.Context, view runtime.NodeView) {
+		ctx.Send(view.Degree, runtime.Message{Kind: 1})
+		ctx.Send(-1, runtime.Message{Kind: 1})
+		ctx.CommitEdge(view.Degree, 1)
+	}, "3 commit errors", "node 0 sent on port 2 outside [0,2)")
+}
+
+// TestEmptyMessageIsRunError: a Kind 0 message, which would read as no
+// message at all, is a run error naming the node and the port, and is not
+// counted or delivered.
+func TestEmptyMessageIsRunError(t *testing.T) {
+	runBadSender(t, 0, func(ctx *runtime.Context, _ runtime.NodeView) {
+		ctx.Send(1, runtime.Message{Val: 7})
+	}, "1 commit errors", "node 0 sent an empty message on port 1 in round 0")
+}
+
+// TestDoubleSendIsRunError: a second send on one port in one round is a
+// run error naming the node and the port; the first message is delivered
+// and the second does not overwrite it.
+func TestDoubleSendIsRunError(t *testing.T) {
+	runBadSender(t, 1, func(ctx *runtime.Context, _ runtime.NodeView) {
+		ctx.Send(0, runtime.Message{Kind: 1})
+		ctx.Send(0, runtime.Message{Kind: 2})
+	}, "1 commit errors", "node 0 sent twice on port 0 in round 0")
 }
 
 // TestEngineFootprint pins the bytes NewEngine allocates, an exact and
@@ -299,6 +308,37 @@ func TestEngineFootprint(t *testing.T) {
 		t.Logf("%v: NewEngine %.2f MB (%.0f%% of %.2f MB)", tc.g, got, 100*got/tc.before, tc.before)
 		if got > 0.70*tc.before {
 			t.Errorf("%v: NewEngine allocated %.2f MB, want at most 70%% of %.2f MB", tc.g, got, tc.before)
+		}
+	}
+}
+
+// TestRunAllocsIndependentOfN pins the engine's allocation-free round
+// loop: on a reused engine a run of each randomized algorithm allocates
+// the same number of objects (the Result and its columns) on a 1024-node
+// and an 8192-node graph. A per-node program, a boxed message or per-phase
+// scratch would make the count grow with n.
+func TestRunAllocsIndependentOfN(t *testing.T) {
+	rng := rand.New(rand.NewPCG(41, 42))
+	small, large := graph.RandomRegular(1024, 8, rng), graph.RandomRegular(8192, 8, rng)
+	for _, alg := range []runtime.Algorithm{
+		mis.Luby{}, mis.Ghaffari{}, ruling.Rand22{},
+		matching.IsraeliItai{}, matching.RandLuby{}, coloring.RandGreedy{},
+	} {
+		var allocs [2]float64
+		for i, g := range []*graph.Graph{small, large} {
+			eng := runtime.NewEngine(g)
+			cfg := runtime.Config{IDs: ids.RandomPerm(g.N(), rng)}
+			allocs[i] = testing.AllocsPerRun(5, func() {
+				cfg.Seed++
+				if _, err := eng.Run(alg, cfg); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		t.Logf("%s: %v allocs per run at n=%d and n=%d", alg.Name(), allocs, small.N(), large.N())
+		if allocs[0] != allocs[1] {
+			t.Errorf("%s: %v allocs per run at n=%d but %v at n=%d",
+				alg.Name(), allocs[0], small.N(), allocs[1], large.N())
 		}
 	}
 }
