@@ -13,10 +13,10 @@ import (
 	"avgloc/internal/scenario"
 )
 
-// Each benchmark regenerates one experiment of the paper (DESIGN.md §2).
+// Each benchmark regenerates one experiment of the paper (internal/harness).
 // The rendered table is printed once so that
 // `go test -bench=. -benchmem | tee bench_output.txt` records the
-// paper-vs-measured data referenced by EXPERIMENTS.md.
+// paper-vs-measured data beside each table's claim line.
 
 var printOnce sync.Map
 

@@ -22,7 +22,6 @@ import (
 	"avgloc/internal/registry"
 	"avgloc/internal/resultstore"
 	"avgloc/internal/scenario"
-	"avgloc/internal/twin"
 )
 
 // jobStatus values.
@@ -223,7 +222,6 @@ func (s *server) registerMetrics() {
 	})
 	s.store.RegisterMetrics(s.reg)
 	s.graphs.RegisterMetrics(s.reg)
-	twin.RegisterMetrics(s.reg)
 	if s.coord != nil {
 		s.coord.RegisterMetrics(s.reg)
 	}
@@ -545,20 +543,16 @@ type metrics struct {
 	// GraphStore is the graph artifact store's traffic: builds counts
 	// generator invocations, so a warm -graph-cache-dir restart shows
 	// builds=0 on a repeated sweep (the CI smoke asserts exactly that).
-	GraphStore graphstore.Stats `json:"graphstore"`
-	// Twin is the analytical twin's deviation telemetry: sweeps and rows
-	// evaluated against catalogue models, no-model degradations, and the
-	// largest |log2(measured/predicted)| seen since process start.
-	Twin           twin.Stats `json:"twin"`
-	InFlight       int        `json:"in_flight"`
-	QueueDepth     int        `json:"queue_depth"`
-	QueueCap       int        `json:"queue_cap"`
-	JobsTotal      int64      `json:"jobs_total"`
-	RunsCompleted  int64      `json:"runs_completed"`
-	RunsFailed     int64      `json:"runs_failed"`
-	RunsCached     int64      `json:"runs_cached"`
-	RunsFleet      int64      `json:"runs_fleet"`
-	CampaignsTotal int64      `json:"campaigns_total"`
+	GraphStore     graphstore.Stats `json:"graphstore"`
+	InFlight       int              `json:"in_flight"`
+	QueueDepth     int              `json:"queue_depth"`
+	QueueCap       int              `json:"queue_cap"`
+	JobsTotal      int64            `json:"jobs_total"`
+	RunsCompleted  int64            `json:"runs_completed"`
+	RunsFailed     int64            `json:"runs_failed"`
+	RunsCached     int64            `json:"runs_cached"`
+	RunsFleet      int64            `json:"runs_fleet"`
+	CampaignsTotal int64            `json:"campaigns_total"`
 	// Degradation observables: every hardened failure path leaves a count
 	// here, so degraded service is visible rather than silent.
 	DeadlineExceeded  int64 `json:"deadline_exceeded"`
@@ -588,7 +582,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	m := metrics{
 		Store:             st,
 		GraphStore:        s.graphs.Stats(),
-		Twin:              twin.Snapshot(),
 		InFlight:          inFlight,
 		QueueDepth:        len(s.queue),
 		QueueCap:          s.queueCap,

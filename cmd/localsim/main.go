@@ -29,7 +29,6 @@ import (
 	"avgloc/internal/graphstore"
 	"avgloc/internal/measure"
 	"avgloc/internal/registry"
-	"avgloc/internal/twin"
 )
 
 func main() {
@@ -86,7 +85,6 @@ func run() error {
 	parallel := flag.Int("parallel", 1, "trial parallelism (reports are bit-identical at any level)")
 	graphCacheDir := flag.String("graph-cache-dir", "", "optional persistent graph artifact directory (shared with avgserve/avgworker; a warm dir skips the generator)")
 	dist := flag.Bool("dist", false, "print the completion-time distribution (quantiles, log2 histogram, trial variance)")
-	twinFlag := flag.Bool("twin", false, "print the analytical twin's predicted value and the measured/predicted ratio (internal/twin)")
 	flag.Parse()
 
 	if *list {
@@ -146,46 +144,7 @@ func run() error {
 	if *dist {
 		printDist(&rep.Dist)
 	}
-	if *twinFlag {
-		printTwin(fam, entry.Name, params, g.N(), rep)
-	}
 	return nil
-}
-
-// printTwin prints the analytical twin's prediction beside the measured
-// value for every measure the catalogue has a model for. A pair without a
-// model is a normal answer, not an error.
-func printTwin(fam *registry.GraphFamily, alg string, params registry.Values, n int, rep *core.Report) {
-	eff, err := fam.Normalize(params)
-	if err != nil {
-		eff = params // already validated by the build; defensive
-	}
-	found := false
-	for _, measure := range twin.Measures() {
-		m, ok := twin.Lookup(alg, fam.Name, measure)
-		if !ok {
-			continue
-		}
-		delta, ok := twin.DeltaOf(fam.Name, eff)
-		if !ok {
-			continue
-		}
-		measured, ok := twin.MeasureValue(rep, measure)
-		if !ok {
-			continue
-		}
-		found = true
-		pred := m.Predict(float64(n), delta)
-		if (m.NMin > 0 && float64(n) < m.NMin) || (m.NMax > 0 && float64(n) > m.NMax) {
-			fmt.Printf("twin %s:   n=%d outside the model's validity range [%g, %g]\n", measure, n, m.NMin, m.NMax)
-			continue
-		}
-		fmt.Printf("twin %s: predicted %.2f  measured %.2f  ratio %.3f  (%s; %s)\n",
-			measure, pred, measured, measured/pred, m.Curve, m.Note)
-	}
-	if !found {
-		fmt.Printf("twin: no model for %s on %s\n", alg, fam.Name)
-	}
 }
 
 // printDist renders the distribution block of a report: the object behind

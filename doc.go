@@ -4,7 +4,7 @@
 // simulator, the paper's averaged-complexity measures, its algorithms
 // (MIS, ruling sets, maximal matching, sinkless orientation) and its
 // KMW-style lower-bound constructions, together with the E1–E14
-// experiment harness described in DESIGN.md and EXPERIMENTS.md.
+// experiment harness (README.md; PAPER.md has the paper's abstract).
 //
 // Entry points:
 //
@@ -13,8 +13,7 @@
 //	internal/scenario    — declarative JSON scenario specs with canonical content hashes
 //	internal/graphstore  — content-addressed graph artifacts: memory LRU + checksummed CSR disk tier
 //	internal/resultstore — LRU result cache (optional disk persistence) keyed by (hash, seed)
-//	internal/fit         — growth-class classification of measured sweeps
-//	internal/twin        — analytical twin: calibrated closed-form curves evaluated beside sweeps
+//	internal/fit         — growth-class classification of measured sweeps; frozen closed-form models
 //	internal/campaign    — hypothesis campaigns: scenarios + claims → verdicts
 //	internal/fleet       — distributed chunk execution with bit-identical merge
 //	internal/harness     — the experiments; also run via cmd/avgbench
@@ -73,9 +72,9 @@
 // counter derivations (internal/seedmix; a plain additive stride would let
 // related master seeds share shifted streams). Outcomes merge in row/trial
 // order, so reports, tables and scenario outcomes are bit-identical at
-// every parallelism level. Run
-// `avgbench -json BENCH_results.json` to regenerate the performance
-// trajectory file.
+// every parallelism level. Performance is measured with
+// `bash bench/run.sh`; BENCH_results.json is frozen history from before
+// that benchmark existed.
 //
 // # Scenario service
 //
@@ -145,14 +144,14 @@
 // campaigns/paper.json ships the paper's E1/E3-vs-E4/E9-style claims;
 // POST /v1/campaigns streams per-scenario completions in campaign order
 // followed by the verdict report, deduped through the same result store
-// as every other endpoint. Beside the fits, internal/twin keeps a
-// catalogue of calibrated closed-form curves A + B·f(n, Δ) per
-// (algorithm, family, measure) and evaluates them against every sweep as
-// pure observability — measured bytes are byte-identical with the twin
-// on or off — feeding localsim -twin, harness ratio columns, the
-// within_twin hypothesis form (constants, where expect judges growth
-// class) and the twin block of campaign reports, twin.eval flight-recorder
-// spans and the avg_twin_* metrics.
+// as every other endpoint. Beside the fits, internal/fit keeps a catalogue
+// of frozen models a + b·f(n) (optionally Δ-capped, a + b·min(log₂ Δ, f(n)))
+// per (algorithm, family, measure), with constants fitted once.
+// internal/campaign evaluates them against every sweep from outcome rows
+// alone, feeding the within_twin hypothesis form (constants, where expect
+// judges growth class), the twin block of campaign reports and twin.eval
+// flight-recorder spans; the harness prints the same predictions as ratio
+// columns.
 //
 // # Load testing
 //

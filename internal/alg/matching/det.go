@@ -22,7 +22,7 @@ import (
 // fractional slack for it. After the level-L..1 stages the value-1 edges
 // form a matching.
 //
-// The rounding core runs on the locality-charged executor (DESIGN.md §1.1):
+// The rounding core runs on the locality-charged executor (internal/locality):
 // the pairing, path 3-coloring, segment cutting and alternation are
 // computed centrally, and every stage charges its distributed cost —
 // O(log* Δ) for recoloring the linkage paths with the precomputed poly(Δ)

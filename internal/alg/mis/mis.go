@@ -8,7 +8,7 @@
 //   - Ghaffari: the desire-level MIS of [Gha16], standing in for the
 //     [BYCHGS17] algorithm: every node is decided with constant
 //     probability per phase, giving node-averaged complexity O(log Δ)
-//     shape (see DESIGN.md §3 for the substitution).
+//     shape.
 //   - Greedy: a centralized sequential oracle used by tests.
 //
 // Node outputs are int32: In (1) = in the MIS, Out (0) = covered by a

@@ -37,7 +37,7 @@ type DetAveraged struct {
 	// R is the paper's constant r (short cycles have length <= 6R).
 	// Default 2: the proof wants r >= 15 for its worst-case constants,
 	// which needs astronomically large graphs; the averaged-complexity
-	// shape survives small r (see EXPERIMENTS.md).
+	// shape survives small r (E5 measures it).
 	R int
 	// SwitchDepth is the recursion depth at which the baseline finisher
 	// takes over (default 2).

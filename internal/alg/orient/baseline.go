@@ -14,7 +14,7 @@
 //
 // Sinkless orientation is an edge-output problem; the committed edge value
 // is the node index the edge points at (an int, endpoint-symmetric). All
-// three algorithms run on the locality-charged executor (DESIGN.md §1.1).
+// three algorithms run on the locality-charged executor (internal/locality).
 package orient
 
 import (

@@ -133,7 +133,7 @@ const (
 	// LogDelta runs Θ(log Δ) halving iterations: a (2, O(log Δ))-ruling set.
 	LogDelta DetVariant = iota + 1
 	// LogLogN runs Θ(log log n) halving iterations: a (2, O(log log n))-
-	// ruling set (intended for Δ = polylog(n) workloads; see DESIGN.md §3).
+	// ruling set (intended for Δ = polylog(n) workloads).
 	LogLogN
 )
 
@@ -151,7 +151,7 @@ type Det struct {
 	Variant DetVariant
 	// IterationFactor scales the number of halving iterations (default 3,
 	// which drives the surviving count low enough that the finisher's
-	// contribution to the node average is negligible; see DESIGN.md).
+	// contribution to the node average is negligible).
 	IterationFactor int
 }
 

@@ -38,7 +38,6 @@ import (
 	"avgloc/internal/obs"
 	"avgloc/internal/resultstore"
 	"avgloc/internal/scenario"
-	"avgloc/internal/twin"
 )
 
 // MaxScenarios bounds one campaign; campaigns reach avgserve's
@@ -74,8 +73,8 @@ type Hypothesis struct {
 	Op string `json:"op,omitempty"`
 	// Ratio is the comparison threshold (default 1).
 	Ratio float64 `json:"ratio,omitempty"`
-	// WithinTwin claims the measured/predicted ratio against the analytical
-	// twin catalogue (internal/twin) stays inside [Min, Max] on every
+	// WithinTwin claims the measured/predicted ratio against the frozen
+	// model catalogue (fit.Lookup) stays inside [Min, Max] on every
 	// in-range row of the sweep. The verdict is INCONCLUSIVE — never
 	// CONFIRMED by default — when the catalogue has no model for the
 	// scenario's (algorithm, family, measure), or when the sweep is below
@@ -276,12 +275,12 @@ type ScenarioResult struct {
 	Verdict Verdict     `json:"verdict,omitempty"`
 	Detail  string      `json:"detail,omitempty"`
 	Fit     *fit.Result `json:"fit,omitempty"`
-	// Twin is the analytical twin's evaluation of the scenario's sweep for
-	// the hypothesis measure, attached whenever the catalogue has a model —
+	// Twin is the frozen model's evaluation of the scenario's sweep for the
+	// hypothesis measure, attached whenever the catalogue has a model —
 	// with or without a within_twin claim. Recomputed purely from outcome
 	// rows on every Evaluate, so cached and fresh runs carry identical
 	// blocks.
-	Twin *twin.SweepEval `json:"twin,omitempty"`
+	Twin *SweepEval `json:"twin,omitempty"`
 }
 
 // Report is the evaluated campaign.
@@ -417,74 +416,6 @@ func evalHypothesis(h *Hypothesis, run *ScenarioRun, byName map[string]*Scenario
 		details = append(details, d)
 	}
 	res.Verdict, res.Detail = verdict, strings.Join(details, "; ")
-}
-
-// twinSweep evaluates the analytical twin beside an outcome's rows for a
-// measure; nil when the catalogue has no model for the scenario's
-// (algorithm, family, measure).
-func twinSweep(measure string, out *scenario.Outcome) *twin.SweepEval {
-	if out.Spec == nil {
-		return nil
-	}
-	if _, ok := twin.Lookup(out.Spec.Algorithm, out.Spec.Graph, measure); !ok {
-		return nil
-	}
-	pts := make([]twin.Point, 0, len(out.Rows))
-	for _, row := range out.Rows {
-		delta, ok := twin.DeltaOf(out.Spec.Graph, row.Params)
-		if !ok {
-			continue
-		}
-		pts = append(pts, twin.Point{N: float64(row.Nodes), Delta: delta, Measured: measureValue(row.Report, measure)})
-	}
-	ev, _ := twin.EvalSweep(out.Spec.Algorithm, out.Spec.Graph, measure, pts)
-	return ev
-}
-
-// evalWithinTwin judges a within_twin claim against the twin's sweep
-// evaluation. It reuses fit's refusal discipline: a sweep with fewer than
-// fit.DefaultMinRows in-range rows, or a realized size spread under
-// fit.DefaultMinSpread, could not have left the band and must not confirm
-// it.
-func evalWithinTwin(h *Hypothesis, out *scenario.Outcome, tw *twin.SweepEval) (Verdict, string) {
-	if tw == nil {
-		alg, fam := "?", "?"
-		if out.Spec != nil {
-			alg, fam = out.Spec.Algorithm, out.Spec.Graph
-		}
-		return Inconclusive, fmt.Sprintf("within_twin: no twin model for %s on %s %s", alg, fam, h.Measure)
-	}
-	if len(tw.Rows) < fit.DefaultMinRows {
-		return Inconclusive, fmt.Sprintf("within_twin: only %d in-range rows, need %d", len(tw.Rows), fit.DefaultMinRows)
-	}
-	nMin, nMax := tw.Rows[0].N, tw.Rows[0].N
-	lo, hi, worst := tw.Rows[0].Ratio, tw.Rows[0].Ratio, 0
-	for i, r := range tw.Rows {
-		if r.N < nMin {
-			nMin = r.N
-		}
-		if r.N > nMax {
-			nMax = r.N
-		}
-		if r.Ratio < lo {
-			lo = r.Ratio
-		}
-		if r.Ratio > hi {
-			hi = r.Ratio
-		}
-		if r.Ratio < h.WithinTwin.Min || r.Ratio > h.WithinTwin.Max {
-			worst = i
-		}
-	}
-	if nMin <= 0 || nMax/nMin < fit.DefaultMinSpread {
-		return Inconclusive, fmt.Sprintf("within_twin: size spread %.2g below %.2g", nMax/nMin, fit.DefaultMinSpread)
-	}
-	if lo >= h.WithinTwin.Min && hi <= h.WithinTwin.Max {
-		return Confirmed, fmt.Sprintf("within_twin ratios [%.3f, %.3f] within [%.3g, %.3g] (curve %s, max |log2| %.2f)",
-			lo, hi, h.WithinTwin.Min, h.WithinTwin.Max, tw.Curve, tw.MaxAbsLogRatio)
-	}
-	return Rejected, fmt.Sprintf("within_twin ratios [%.3f, %.3f] leave [%.3g, %.3g] at n=%.0f (ratio %.3f)",
-		lo, hi, h.WithinTwin.Min, h.WithinTwin.Max, tw.Rows[worst].N, tw.Rows[worst].Ratio)
 }
 
 // evalExpect fits the growth classes and compares the best fit against the
@@ -755,7 +686,7 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 		}
 		campSpan.Span("twin.eval",
 			obs.A("scenario", s.Name), obs.A("measure", s.Twin.Measure),
-			obs.A("curve", string(s.Twin.Curve)),
+			obs.A("curve", s.Twin.Curve),
 			obs.A("max_abs_log_ratio", s.Twin.MaxAbsLogRatio)).End()
 	}
 	campSpan.End(obs.A("confirmed", rep.Confirmed), obs.A("rejected", rep.Rejected),

@@ -376,3 +376,15 @@ func TestReportString(t *testing.T) {
 		}
 	}
 }
+
+func TestMeasureValue(t *testing.T) {
+	rep := &core.Report{NodeAvg: 1.5, EdgeAvg: 2.5, WorstMean: 9}
+	for _, tc := range []struct {
+		measure string
+		want    float64
+	}{{MeasureNodeAvg, 1.5}, {MeasureEdgeAvg, 2.5}, {MeasureWorst, 9}} {
+		if got := measureValue(rep, tc.measure); got != tc.want {
+			t.Fatalf("measureValue(%s) = %g, want %g", tc.measure, got, tc.want)
+		}
+	}
+}

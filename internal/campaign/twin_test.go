@@ -1,14 +1,16 @@
 package campaign
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"avgloc/internal/fit"
+	"avgloc/internal/registry"
 	"avgloc/internal/scenario"
 )
 
-// lubyOutcome is a synthetic executed outcome whose spec the twin
+// lubyOutcome is a synthetic executed outcome whose spec the frozen model
 // catalogue has a model for (mis/luby on cycles, node_avg Const).
 func lubyOutcome(ns []int, vals []float64) *scenario.Outcome {
 	out := outcomeWith(ns, vals)
@@ -123,5 +125,78 @@ func TestValidateWithinTwin(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("bound %+v accepted", b)
 		}
+	}
+}
+
+func TestDeltaOf(t *testing.T) {
+	if d, ok := DeltaOf("regular", registry.Values{"d": 6}); !ok || d != 6 {
+		t.Fatalf("regular d=6: got %g, %v", d, ok)
+	}
+	if d, ok := DeltaOf("cycle", registry.Values{}); !ok || d != 2 {
+		t.Fatalf("cycle: got %g, %v", d, ok)
+	}
+	if d, ok := DeltaOf("path", registry.Values{}); !ok || d != 2 {
+		t.Fatalf("path: got %g, %v", d, ok)
+	}
+	if _, ok := DeltaOf("tree", registry.Values{}); ok {
+		t.Fatal("tree should have no derivable delta")
+	}
+	// Every catalogue model's family must yield a Δ, or nobody can
+	// evaluate the model.
+	for _, m := range []struct{ alg, fam, measure string }{
+		{"ruling/rand22", "regular", MeasureNodeAvg},
+		{"matching/randluby", "regular", MeasureEdgeAvg},
+		{"mis/luby", "cycle", MeasureNodeAvg},
+		{"mis/det-coloring", "cycle", MeasureNodeAvg},
+		{"orient/rand-marking", "regular", MeasureNodeAvg},
+	} {
+		if _, ok := fit.Lookup(m.alg, m.fam, m.measure); !ok {
+			t.Errorf("catalogue lost %s on %s %s", m.alg, m.fam, m.measure)
+		}
+		if _, ok := DeltaOf(m.fam, registry.Values{"d": 3}); !ok {
+			t.Errorf("%s: delta not derivable for family %q", m.alg, m.fam)
+		}
+	}
+}
+
+// TestEvalSweep pins the ratio arithmetic, worst-row selection, and
+// out-of-range skipping against the shipped mis/det-coloring model.
+func TestEvalSweep(t *testing.T) {
+	m, ok := fit.Lookup("mis/det-coloring", "cycle", MeasureNodeAvg)
+	if !ok {
+		t.Fatal("catalogue lost the det cycle MIS model")
+	}
+	pred, _ := m.Predict(256, 2) // log* 256 = 4
+	pts := []Point{
+		{N: 16, Delta: 2, Measured: 5},          // below NMin=32: skipped
+		{N: 256, Delta: 2, Measured: pred},      // ratio exactly 1
+		{N: 1024, Delta: 2, Measured: 2 * pred}, // ratio 2 — the worst row
+		{N: 1 << 21, Delta: 2, Measured: 1},     // above NMax: skipped
+	}
+	ev := EvalSweep(m, pts)
+	if len(ev.Rows) != 2 || ev.OutOfRange != 2 {
+		t.Fatalf("rows=%d outOfRange=%d, want 2/2", len(ev.Rows), ev.OutOfRange)
+	}
+	if ev.Rows[0].Ratio != 1 {
+		t.Fatalf("on-curve row ratio = %g, want 1", ev.Rows[0].Ratio)
+	}
+	if ev.WorstRow != 1 || math.Abs(ev.MaxAbsLogRatio-1) > 1e-9 {
+		t.Fatalf("worst row %d max|log2| %g, want 1 / 1", ev.WorstRow, ev.MaxAbsLogRatio)
+	}
+	if ev.Curve != "logstar" || ev.Algorithm != "mis/det-coloring" || !strings.Contains(ev.Note, "Feu20") {
+		t.Fatalf("sweep lost model identity: %+v", ev)
+	}
+}
+
+// TestEvalSweepDegenerateRatio checks that a zero measurement cannot
+// produce an infinite log-ratio (JSON cannot carry ±Inf).
+func TestEvalSweepDegenerateRatio(t *testing.T) {
+	m, ok := fit.Lookup("mis/luby", "cycle", MeasureNodeAvg)
+	if !ok {
+		t.Fatal("catalogue lost the luby model")
+	}
+	ev := EvalSweep(m, []Point{{N: 256, Delta: 2, Measured: 0}})
+	if math.IsInf(ev.MaxAbsLogRatio, 0) || math.IsNaN(ev.MaxAbsLogRatio) {
+		t.Fatalf("degenerate measurement produced non-finite deviation %g", ev.MaxAbsLogRatio)
 	}
 }

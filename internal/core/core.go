@@ -34,8 +34,23 @@ var MIS = Problem{
 	Name: "mis",
 	Kind: runtime.NodeOutputs,
 	Validate: func(g *graph.Graph, res *runtime.Result) error {
+		if err := inOrOut("node", res.NodeOut); err != nil {
+			return err
+		}
 		return graph.IsMaximalIndependentSet(g, mis.SetFromResult(res))
 	},
+}
+
+// inOrOut rejects any output outside {In, Out}, the domain of MIS,
+// ruling sets and matching (their packages share In = 1 and Out = 0).
+// Without it, SetFromResult would read a stray value as Out.
+func inOrOut(what string, outs []int32) error {
+	for i, out := range outs {
+		if out != mis.In && out != mis.Out {
+			return fmt.Errorf("core: %s %d output %d outside {In, Out}", what, i, out)
+		}
+	}
+	return nil
 }
 
 // RulingSet returns the (2, beta)-ruling set problem.
@@ -44,6 +59,9 @@ func RulingSet(beta int) Problem {
 		Name: fmt.Sprintf("ruling(2,%d)", beta),
 		Kind: runtime.NodeOutputs,
 		Validate: func(g *graph.Graph, res *runtime.Result) error {
+			if err := inOrOut("node", res.NodeOut); err != nil {
+				return err
+			}
 			return graph.IsRulingSet(g, ruling.SetFromResult(res), beta)
 		},
 	}
@@ -55,6 +73,9 @@ var MaximalMatching = Problem{
 	Name: "matching",
 	Kind: runtime.EdgeOutputs,
 	Validate: func(g *graph.Graph, res *runtime.Result) error {
+		if err := inOrOut("edge", res.EdgeOut); err != nil {
+			return err
+		}
 		return graph.IsMaximalMatching(g, matching.SetFromResult(res))
 	},
 }

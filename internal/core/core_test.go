@@ -154,3 +154,38 @@ func TestValidatorsRejectUncommittedZeros(t *testing.T) {
 		}
 	}
 }
+
+// TestValidatorsRejectOutOfDomainOutputs: MIS, ruling sets and matching
+// output In or Out, and any other value is an error naming the node or
+// edge and the value. On the path 0–1–2 each stray value below would
+// otherwise decode as Out and leave a valid set ({0, 2}, or edge {0, 1}).
+func TestValidatorsRejectOutOfDomainOutputs(t *testing.T) {
+	path := graph.Path(3)
+	nodes := &runtime.Result{
+		NodeCommit: []int32{0, 0, 0},
+		EdgeCommit: []int32{-1, -1},
+		NodeOut:    []int32{1, 7, 1},
+		EdgeOut:    make([]int32, 2),
+	}
+	edges := &runtime.Result{
+		NodeCommit: []int32{-1, -1, -1},
+		EdgeCommit: []int32{0, 0},
+		NodeOut:    make([]int32, 3),
+		EdgeOut:    []int32{1, 5},
+	}
+	for _, tc := range []struct {
+		name string
+		prob core.Problem
+		res  *runtime.Result
+		want string
+	}{
+		{"mis", core.MIS, nodes, "node 1 output 7"},
+		{"ruling(2,2)", core.RulingSet(2), nodes, "node 1 output 7"},
+		{"matching", core.MaximalMatching, edges, "edge 1 output 5"},
+	} {
+		err := tc.prob.Validate(path, tc.res)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: out-of-domain output not rejected: %v", tc.name, err)
+		}
+	}
+}

@@ -1,7 +1,7 @@
-// Package harness defines the reproduction experiments E1–E14 of
-// DESIGN.md §2: each experiment sweeps a workload, measures the paper's
-// complexity notions via internal/core, and renders a table whose shape is
-// compared against the paper's claim in EXPERIMENTS.md.
+// Package harness defines the reproduction experiments E1–E14 (README.md;
+// PAPER.md has the paper's abstract): each experiment sweeps a workload,
+// measures the paper's complexity notions via internal/core, and renders a
+// table whose shape is compared against the paper's claim in its header.
 package harness
 
 import (
@@ -18,6 +18,7 @@ import (
 	"avgloc/internal/alg/mis"
 	"avgloc/internal/alg/ruling"
 	"avgloc/internal/core"
+	"avgloc/internal/fit"
 	"avgloc/internal/graph"
 	"avgloc/internal/ids"
 	"avgloc/internal/lb/basegraph"
@@ -27,7 +28,6 @@ import (
 	"avgloc/internal/measure"
 	"avgloc/internal/registry"
 	"avgloc/internal/runtime"
-	"avgloc/internal/twin"
 )
 
 // Scale selects the sweep size.
@@ -826,7 +826,7 @@ func E10CycleMIS(opt Options) (*Table, error) {
 	}
 	detRunner, detProb := mustAlg("mis/det-coloring")
 	lubyRunner, lubyProb := mustAlg("mis/luby")
-	detTwin, _ := twin.Lookup("mis/det-coloring", "cycle", "node_avg")
+	detTwin, _ := fit.Lookup("mis/det-coloring", "cycle", "node_avg")
 	var pool rowPool
 	for _, n := range ns {
 		n := n
@@ -857,18 +857,15 @@ func E10CycleMIS(opt Options) (*Table, error) {
 	return t, nil
 }
 
-// twinCells formats one row's analytical-twin prediction and
+// twinCells formats one row's frozen-model prediction and
 // measured/predicted ratio; "-" cells when the catalogue has no model or
-// the size is outside the model's validity range.
-func twinCells(m *twin.Model, n int, delta, measured float64) (string, string) {
+// the model makes no prediction at this size.
+func twinCells(m *fit.Frozen, n int, delta, measured float64) (string, string) {
 	if m == nil {
 		return "-", "-"
 	}
-	if (m.NMin > 0 && float64(n) < m.NMin) || (m.NMax > 0 && float64(n) > m.NMax) {
-		return "-", "-"
-	}
-	pred := m.Predict(float64(n), delta)
-	if pred <= 0 {
+	pred, ok := m.Predict(float64(n), delta)
+	if !ok {
 		return "-", "-"
 	}
 	return f2(pred), f2(measured / pred)
@@ -1039,7 +1036,7 @@ func E14SinklessRand(opt Options) (*Table, error) {
 		Claim:   "[GS17a] via §3.3: node-averaged complexity O(1)",
 		Columns: []string{"n", "nodeAvg", "twin pred", "twin ratio", "edgeAvg", "worstMean"},
 	}
-	sinkTwin, _ := twin.Lookup("orient/rand-marking", "regular", "node_avg")
+	sinkTwin, _ := fit.Lookup("orient/rand-marking", "regular", "node_avg")
 	var pool rowPool
 	for _, n := range ns {
 		n := n

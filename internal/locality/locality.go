@@ -1,4 +1,4 @@
-// Package locality provides the ball-based executor of DESIGN.md §1.1: a
+// Package locality provides the ball-based executor: a
 // centrally computed LOCAL algorithm whose synchronous-round cost is
 // charged explicitly, phase by phase. The LOCAL-model equivalence used here
 // is the one the paper spells out in Section 2: an r-round algorithm is
