@@ -1,53 +1,14 @@
 package avgloc_test
 
 import (
-	"fmt"
 	"math/rand/v2"
 	"os"
-	"sync"
 	"testing"
 
 	"avgloc/internal/campaign"
-	"avgloc/internal/harness"
 	"avgloc/internal/measure"
 	"avgloc/internal/scenario"
 )
-
-// Each benchmark regenerates one experiment of the paper (internal/harness).
-// The rendered table is printed once so that
-// `go test -bench=. -benchmem | tee bench_output.txt` records the
-// paper-vs-measured data beside each table's claim line.
-
-var printOnce sync.Map
-
-func benchExperiment(b *testing.B, id string) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		// Parallelism 0 = GOMAXPROCS; tables are bit-identical at any level.
-		tab, err := harness.Run(id, harness.Options{Scale: harness.Quick, Seed: 42})
-		if err != nil {
-			b.Fatalf("%s: %v", id, err)
-		}
-		if _, done := printOnce.LoadOrStore(id, true); !done {
-			fmt.Println(tab.String())
-		}
-	}
-}
-
-func BenchmarkE1RulingSet22(b *testing.B)          { benchExperiment(b, "E1") }
-func BenchmarkE2DetRulingSet(b *testing.B)         { benchExperiment(b, "E2") }
-func BenchmarkE3RandMatching(b *testing.B)         { benchExperiment(b, "E3") }
-func BenchmarkE4DetMatching(b *testing.B)          { benchExperiment(b, "E4") }
-func BenchmarkE5SinklessDet(b *testing.B)          { benchExperiment(b, "E5") }
-func BenchmarkE6MISLowerBound(b *testing.B)        { benchExperiment(b, "E6") }
-func BenchmarkE7Indistinguishability(b *testing.B) { benchExperiment(b, "E7") }
-func BenchmarkE8LiftGirth(b *testing.B)            { benchExperiment(b, "E8") }
-func BenchmarkE9MatchingLowerBound(b *testing.B)   { benchExperiment(b, "E9") }
-func BenchmarkE10CycleMIS(b *testing.B)            { benchExperiment(b, "E10") }
-func BenchmarkE11LubyEdges(b *testing.B)           { benchExperiment(b, "E11") }
-func BenchmarkE12MeasureChain(b *testing.B)        { benchExperiment(b, "E12") }
-func BenchmarkE13ColoringAvg(b *testing.B)         { benchExperiment(b, "E13") }
-func BenchmarkE14SinklessRand(b *testing.B)        { benchExperiment(b, "E14") }
 
 // BenchmarkDistAggregation tracks the distribution hot path added to every
 // report: quantile sorts (into the aggregator's shared scratch buffer),

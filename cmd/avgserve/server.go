@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -510,9 +509,7 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, what string, v any) bool
 		httpError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 		return false
 	}
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := scenario.DecodeStrict(body, v); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("parsing %s: %w", what, err))
 		return false
 	}

@@ -208,6 +208,12 @@ func TestBadRequests(t *testing.T) {
 	if resp, body := post(t, ts.URL+"/v1/run", typo); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field accepted: %d: %s", resp.StatusCode, body)
 	}
+	// Nor may a valid spec with a second document appended run as its
+	// first half.
+	trailing := `{"graph":"cycle","params":{"n":8},"algorithm":"mis/luby","seed":1}{"trials":500}`
+	if resp, body := post(t, ts.URL+"/v1/run", trailing); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("trailing data accepted: %d: %s", resp.StatusCode, body)
+	}
 	if resp, _ := get(t, ts.URL+"/v1/jobs/job-999"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: status %d", resp.StatusCode)
 	}

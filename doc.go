@@ -3,8 +3,9 @@
 // arXiv:2208.08213) as a Go library: a synchronous LOCAL/CONGEST
 // simulator, the paper's averaged-complexity measures, its algorithms
 // (MIS, ruling sets, maximal matching, sinkless orientation) and its
-// KMW-style lower-bound constructions, together with the E1–E14
-// experiment harness (README.md; PAPER.md has the paper's abstract).
+// KMW-style lower-bound constructions, together with campaigns that judge
+// the paper's claims (campaigns/paper.json, campaigns/experiments.json;
+// README.md; PAPER.md has the paper's abstract).
 //
 // Entry points:
 //
@@ -16,7 +17,6 @@
 //	internal/fit         — growth-class classification of measured sweeps; frozen closed-form models
 //	internal/campaign    — hypothesis campaigns: scenarios + claims → verdicts
 //	internal/fleet       — distributed chunk execution with bit-identical merge
-//	internal/harness     — the experiments; also run via cmd/avgbench
 //	cmd/avgserve         — HTTP measurement service over the scenario layer (-fleet: coordinator)
 //	cmd/avgworker        — stateless fleet worker process
 //	cmd/avgcampaign      — run a campaign file, render the verdict table
@@ -52,26 +52,25 @@
 // per-node and per-edge expected completion times, plus the across-trial
 // sample variance of the run-level averages. This is the distribution the
 // paper's averaged measures summarize — most nodes finish in O(1) rounds
-// while a vanishing fraction pays the worst case — made inspectable: the
-// E1/E3/E10 harness tables print p50/p99 columns, and `localsim -dist`
-// renders the full block. Quantiles are exact, never sketched: the
-// per-element sums of integer rounds are ranked by a counting pass when
-// the largest is at most the element count, and by a sort otherwise, into
-// scratch buffers the aggregator reuses.
+// while a vanishing fraction pays the worst case — made inspectable:
+// scenario reports carry it per row, and `localsim -dist` renders the full
+// block. Quantiles are exact, never sketched: the per-element sums of
+// integer rounds are ranked by a counting pass when the largest is at most
+// the element count, and by a sort otherwise, into scratch buffers the
+// aggregator reuses.
 //
 // # Deterministic parallelism
 //
 // core.Measure fans independent trials over a worker pool
 // (MeasureOptions.Parallelism); scenario.Run fans sweep rows out under one
 // budget (Options.Parallelism, split between concurrent rows and per-row
-// trial workers); the harness does the same for table rows
-// (harness.Options.Parallelism). Every random stream is derived from the
-// master seed and the (row, trial) indices alone: identifier permutations
-// and graph generation use counter-keyed PCG streams, while algorithm
-// seeds and per-row measurement seeds go through SplitMix64-finalized
-// counter derivations (internal/seedmix; a plain additive stride would let
-// related master seeds share shifted streams). Outcomes merge in row/trial
-// order, so reports, tables and scenario outcomes are bit-identical at
+// trial workers). Every random stream is derived from the master seed and
+// the (row, trial) indices alone: identifier permutations and graph
+// generation use counter-keyed PCG streams, while algorithm seeds and
+// per-row measurement seeds go through SplitMix64-finalized counter
+// derivations (internal/seedmix; a plain additive stride would let related
+// master seeds share shifted streams). Outcomes merge in row/trial order,
+// so reports, scenario outcomes and campaign reports are bit-identical at
 // every parallelism level. Performance is measured with
 // `bash bench/run.sh`; BENCH_results.json is frozen history from before
 // that benchmark existed.
@@ -81,11 +80,11 @@
 // internal/registry names every graph family (all generators, including
 // Barabási–Albert and random caterpillar trees, and the Section 4 kmw /
 // kmw-matching lower-bound constructions) and every algorithm, so
-// workloads are selected by data instead of by Go code; cmd/localsim and
-// the harness resolve their runners through it. internal/scenario turns a
-// JSON spec — graph + params, algorithm, trials, seed, optional sweep —
-// into measured reports, with a canonical content hash that ignores field
-// ordering and labels. Each sweep row measures under its own derived seed
+// workloads are selected by data instead of by Go code; cmd/localsim,
+// campaigns and avgserve resolve their runners through it.
+// internal/scenario turns a JSON spec — graph + params, algorithm, trials,
+// seed, optional sweep — into measured reports, with a canonical content
+// hash that ignores field ordering and labels. Each sweep row measures under its own derived seed
 // and records the realized graph size (the hash preamble is scenario/v3;
 // older disk cache entries simply miss and age out). cmd/avgserve serves
 // that layer over HTTP behind a bounded worker pool, caching each
@@ -150,8 +149,7 @@
 // internal/campaign evaluates them against every sweep from outcome rows
 // alone, feeding the within_twin hypothesis form (constants, where expect
 // judges growth class), the twin block of campaign reports and twin.eval
-// flight-recorder spans; the harness prints the same predictions as ratio
-// columns.
+// flight-recorder spans.
 //
 // # Load testing
 //

@@ -1,7 +1,8 @@
 // Lower-bound construction walkthrough (Section 4): build a cluster tree
 // skeleton, realize it as a base graph, lift it, verify the k-hop
-// indistinguishability of S(c0) and S(c1) with Algorithm 1, and watch the
-// consequence: most of S(c0) decides late under any MIS algorithm.
+// indistinguishability of S(c0) and S(c1) with Algorithm 1, then run an MIS
+// algorithm on the lift and measure when S(c0) decides and how much of it
+// joins the MIS.
 package main
 
 import (
@@ -57,8 +58,9 @@ func main() {
 	fmt.Printf("Algorithm 1: radius-%d views of node %d ∈ S(c0) and node %d ∈ S(c1)\n", k, v0, v1)
 	fmt.Printf("are isomorphic (%d view nodes mapped and verified)\n\n", len(phi))
 
-	// Consequence: under Luby's MIS, S(c0) finishes much later than the
-	// rest — and at least half of it must join the MIS.
+	// Under Luby's MIS, compare S(c0)'s commit rounds with the rest of the
+	// graph and count the share of S(c0) in the MIS. The share is a
+	// measurement of this run; it varies with the lift and the algorithm.
 	res, err := runtime.Run(inst.G, mis.Luby{}, runtime.Config{
 		IDs:  ids.RandomPerm(inst.G.N(), rng),
 		Seed: 7,
@@ -92,6 +94,6 @@ func main() {
 		}
 	}
 	fmt.Printf("Luby MIS commit rounds: S(c0) average %.1f vs rest %.1f\n", s0Sum/float64(s0N), restSum/float64(restN))
-	fmt.Printf("S(c0) members that joined the MIS: %.0f%% (Theorem 16 forces ≥ ~50%%)\n",
+	fmt.Printf("S(c0) members that joined this MIS: %.0f%%\n",
 		100*float64(joined)/float64(s0N))
 }

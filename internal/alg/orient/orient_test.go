@@ -175,8 +175,8 @@ func TestTheorem6Contrast(t *testing.T) {
 	// pays the BFS depth), while DetAveraged's node average is dominated by
 	// its first-level constants and stays essentially flat when n grows
 	// 8-fold. (At small n the baseline's absolute numbers win, because
-	// Theorem 6's per-level constants exceed log n — the E5 table
-	// records both curves.)
+	// Theorem 6's per-level constants exceed log n — the e5 pair in
+	// campaigns/experiments.json records both curves.)
 	rng := rand.New(rand.NewPCG(67, 68))
 	nodeAvg := func(n int, run func(*graph.Graph) (*runtime.Result, error)) float64 {
 		g := graph.RandomRegular(n, 3, rng)

@@ -164,7 +164,7 @@ func (d Det) Name() string {
 }
 
 // Iterations returns the number of halving iterations for the given global
-// parameters; exported so experiments can report the β target.
+// parameters; exported so tests can check the β budget.
 func (d Det) Iterations(n, maxDeg int) int {
 	f := d.IterationFactor
 	if f <= 0 {

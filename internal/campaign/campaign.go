@@ -25,7 +25,6 @@
 package campaign
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -127,10 +126,8 @@ type Campaign struct {
 
 // Parse strictly decodes and validates a campaign document.
 func Parse(data []byte) (*Campaign, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
 	var c Campaign
-	if err := dec.Decode(&c); err != nil {
+	if err := scenario.DecodeStrict(data, &c); err != nil {
 		return nil, fmt.Errorf("campaign: parsing: %w", err)
 	}
 	if err := c.Validate(); err != nil {

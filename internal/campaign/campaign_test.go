@@ -78,10 +78,19 @@ func TestValidateRejectsBadCampaigns(t *testing.T) {
 }
 
 func TestParseRejectsUnknownFields(t *testing.T) {
-	if _, err := Parse([]byte(`{"scenarios":[{"name":"a","spec":{"graph":"cycle","algorithm":"mis/luby"},"hypotesis":{}}]}`)); err == nil {
-		t.Fatal("misspelled field accepted")
+	for _, doc := range []string{
+		`{"scenarios":[{"name":"a","spec":{"graph":"cycle","algorithm":"mis/luby"},"hypotesis":{}}]}`,
+		// A valid campaign followed by the start of a second document, or
+		// by a stray closing brace (json.Decoder.More reports no more
+		// values there, so the check must be Token returning io.EOF).
+		`{"scenarios":[{"name":"a","spec":{"graph":"cycle","algorithm":"mis/luby"}}]}{"scenarios":"garbage"`,
+		`{"scenarios":[{"name":"a","spec":{"graph":"cycle","algorithm":"mis/luby"}}]}}`,
+	} {
+		if _, err := Parse([]byte(doc)); err == nil {
+			t.Fatalf("accepted %s", doc)
+		}
 	}
-	c, err := Parse([]byte(`{"name":"ok","scenarios":[{"name":"a","spec":{"graph":"cycle","algorithm":"mis/luby"}}]}`))
+	c, err := Parse([]byte(`{"name":"ok","scenarios":[{"name":"a","spec":{"graph":"cycle","algorithm":"mis/luby"}}]}` + "\n"))
 	if err != nil {
 		t.Fatal(err)
 	}

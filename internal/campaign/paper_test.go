@@ -21,34 +21,16 @@ import (
 	"avgloc/internal/seedmix"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/paper.golden")
+var update = flag.Bool("update", false, "rewrite the campaign goldens under testdata")
 
 // TestPaperCampaign runs the shipped campaigns/paper.json at its quick
 // scale and pins the acceptance verdicts: the E1 ruling-set node-averaged
 // O(log* n) hypothesis and the E3-vs-E4 rand/det matching comparison must
 // come out CONFIRMED, and no paper claim may be REJECTED. It also pins the
 // report's bytes and each scenario's engine work against
-// testdata/paper.golden (see checkPaperGolden).
+// testdata/paper.golden (see runPinnedCampaign).
 func TestPaperCampaign(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs the full quick-scale paper campaign")
-	}
-	data, err := os.ReadFile(filepath.Join("..", "..", "campaigns", "paper.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := Parse(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	outcomes := make([]*scenario.Outcome, len(c.Scenarios))
-	rep, err := Run(c, Options{Parallelism: 4, OnScenario: func(r ScenarioRun) {
-		outcomes[r.Index] = r.Outcome
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkPaperGolden(t, c, rep, outcomes)
+	rep := runPinnedCampaign(t, "paper.json", "paper.golden")
 	if rep.Rejected != 0 {
 		t.Fatalf("paper claims rejected:\n%s", rep.String())
 	}
@@ -88,19 +70,47 @@ func TestPaperCampaign(t *testing.T) {
 	}
 }
 
-// checkPaperGolden compares the report's MarshalStable sha256 and, per
-// scenario, the total messages and node-rounds (Σ over trials and nodes of
-// halt round + 1) with testdata/paper.golden. The work counters come from
-// a sequential replay of every row through core.MeasureRange with a
-// counting runner; the replayed rows must equal the campaign's outcome
-// rows, so the counters describe exactly the runs behind the report.
-func checkPaperGolden(t *testing.T, c *Campaign, rep *Report, outcomes []*scenario.Outcome) {
+// TestExperimentsCampaign runs the shipped campaigns/experiments.json, the
+// E2, E3, E5, E6 and E13 claims that a scenario can express, and pins its
+// report and engine work against testdata/experiments.golden. The verdicts
+// are pinned as they fall, not required to be CONFIRMED: the golden's
+// report sha256 moves when any verdict, fit or measured row does.
+func TestExperimentsCampaign(t *testing.T) {
+	runPinnedCampaign(t, "experiments.json", "experiments.golden")
+}
+
+// runPinnedCampaign runs campaigns/<file> and compares the report's
+// MarshalStable sha256 and, per scenario, the total messages and
+// node-rounds (Σ over trials and nodes of halt round + 1) with
+// testdata/<golden>. The work counters come from a sequential replay of
+// every row through core.MeasureRange with a counting runner; the replayed
+// rows must equal the campaign's outcome rows, so the counters describe
+// exactly the runs behind the report.
+func runPinnedCampaign(t *testing.T, file, golden string) *Report {
 	t.Helper()
-	data, err := rep.MarshalStable()
+	if testing.Short() {
+		t.Skip("runs a full quick-scale campaign")
+	}
+	data, err := os.ReadFile(filepath.Join("..", "..", "campaigns", file))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum := sha256.Sum256(data)
+	c, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	outcomes := make([]*scenario.Outcome, len(c.Scenarios))
+	rep, err := Run(c, Options{Parallelism: 4, OnScenario: func(r ScenarioRun) {
+		outcomes[r.Index] = r.Outcome
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stable, err := rep.MarshalStable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(stable)
 	var b strings.Builder
 	fmt.Fprintf(&b, "report sha256 %s\n", hex.EncodeToString(sum[:]))
 	for i, it := range c.Scenarios {
@@ -108,7 +118,7 @@ func checkPaperGolden(t *testing.T, c *Campaign, rep *Report, outcomes []*scenar
 		fmt.Fprintf(&b, "%s messages %d node_rounds %d\n", it.Name, messages, nodeRounds)
 	}
 	got := b.String()
-	golden := filepath.Join("testdata", "paper.golden")
+	golden = filepath.Join("testdata", golden)
 	if *update {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -122,8 +132,10 @@ func checkPaperGolden(t *testing.T, c *Campaign, rep *Report, outcomes []*scenar
 		t.Fatalf("%v (rerun with -update to create it)", err)
 	}
 	if got != string(want) {
-		t.Fatalf("paper campaign drifted from %s (rerun with -update if intended):\ngot:\n%s\nwant:\n%s", golden, got, want)
+		t.Fatalf("%s drifted from %s (rerun with -update if intended):\ngot:\n%s\nwant:\n%s\nverdicts:\n%s",
+			file, golden, got, want, rep.String())
 	}
+	return rep
 }
 
 // countingRunner tallies the messages and node-rounds of every run.

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -799,9 +798,7 @@ func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool
 		fleetError(w, http.StatusBadRequest, err)
 		return false
 	}
-	dec := json.NewDecoder(bytes.NewReader(payload))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := scenario.DecodeStrict(payload, v); err != nil {
 		fleetError(w, http.StatusBadRequest, fmt.Errorf("parsing request: %w", err))
 		return false
 	}

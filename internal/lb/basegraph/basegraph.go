@@ -8,7 +8,7 @@
 //
 // The paper's lower-bound constants need β = Ω(k² log k); the construction
 // itself only needs β even and ≥ 4, which is what laptop-scale experiments
-// use (the E9 table prints the β it runs at).
+// use (the e6 and e9 campaign scenarios run at β = 4).
 package basegraph
 
 import (

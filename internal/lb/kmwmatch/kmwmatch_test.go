@@ -57,7 +57,7 @@ func TestMaximalMatchingUsesCrossEdges(t *testing.T) {
 	// nodes can only be covered by their cross edge. The crowding needs
 	// |S(c1)| << |S(c0)| (ratio β/2), so this asserts at k=0, β=16 where
 	// |S(c1)|/|S(c0)| = 1/8; at small β the fraction legitimately shrinks
-	// (the E9 harness table records it).
+	// (the e9 pair in campaigns/paper.json runs at k=1, β=4).
 	base, err := basegraph.Build(basegraph.Params{K: 0, Beta: 16})
 	if err != nil {
 		t.Fatal(err)

@@ -409,6 +409,10 @@ func algEntries() []AlgEntry {
 			New: func() (core.Runner, core.Problem) {
 				return core.MessagePassing(ruling.Det{Variant: ruling.LogDelta}), core.RulingSet(64)
 			}},
+		{Name: "ruling/det-loglogn", Doc: "deterministic (2,O(log log n))-ruling set (Theorem 3)", Problem: core.RulingSet(64).Name,
+			New: func() (core.Runner, core.Problem) {
+				return core.MessagePassing(ruling.Det{Variant: ruling.LogLogN}), core.RulingSet(64)
+			}},
 		{Name: "matching/randluby", Doc: "randomized maximal matching via Luby edge marking", Problem: core.MaximalMatching.Name,
 			New: func() (core.Runner, core.Problem) {
 				return core.MessagePassing(matching.RandLuby{}), core.MaximalMatching

@@ -7,11 +7,14 @@
 package scenario
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
@@ -62,6 +65,21 @@ type Spec struct {
 	// and algorithm randomness.
 	Seed  uint64 `json:"seed,omitempty"`
 	Sweep *Sweep `json:"sweep,omitempty"`
+}
+
+// DecodeStrict decodes exactly one JSON value from data into v. Unknown
+// fields are errors, and so is anything but whitespace after the value: a
+// document with a second value appended must not parse as its first half.
+func DecodeStrict(data []byte, v any) error {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("trailing data after the JSON value")
+	}
+	return nil
 }
 
 // Normalize validates the spec against the registry and returns a copy with
@@ -261,9 +279,9 @@ func rowSeed(seed uint64, row int) uint64 {
 
 // runRows executes n row jobs on up to `workers` concurrent workers,
 // handing each job the leftover worker budget as its measurement
-// parallelism (the harness rowPool split). Jobs above the lowest failing
-// row index may be skipped: the caller merges in row order and stops at the
-// first error, so their results are never read. The returned error is the
+// parallelism. Jobs above the lowest failing row index may be skipped: the
+// caller merges in row order and stops at the first error, so their results
+// are never read. The returned error is the
 // lowest-indexed one, independent of scheduling.
 func runRows(n, workers int, job func(row, measurePar int) error) error {
 	if workers < 1 {
