@@ -20,9 +20,12 @@
 //  1. a fault-free local reference (campaign.Run, no fleet, no store),
 //  2. a fleet pass under the stage's plan (cold chunk cache),
 //  3. a fleet replay (warm chunk cache: clean entries serve, corrupted
-//     entries quarantine and re-execute).
+//     entries quarantine and re-execute),
+//  4. a local disk replay through the workers' graph store with its memory
+//     tier emptied, so every graph artifact the stage wrote is read back
+//     (corrupted artifacts quarantine and rebuild).
 //
-// All three must produce byte-identical MarshalStable reports, every
+// All four must produce byte-identical MarshalStable reports, every
 // transport and disk fault class must actually fire, at least one
 // corrupted cache entry must be quarantined, and at least one corrupted
 // graph artifact must be quarantined and rebuilt byte-identically —
@@ -48,6 +51,7 @@ import (
 	"avgloc/internal/fleet"
 	"avgloc/internal/graphstore"
 	"avgloc/internal/obs"
+	"avgloc/internal/registry"
 	"avgloc/internal/resultstore"
 	"avgloc/internal/scenario"
 )
@@ -268,7 +272,27 @@ func run() error {
 		if !bytes.Equal(warm, refBytes) {
 			return fmt.Errorf("stage %s: warm-replay bytes differ from fault-free local bytes", st.plan.Name)
 		}
-		fmt.Fprintf(os.Stderr, "stage %s: ok (fleet == warm replay == local, %d bytes)\n", st.plan.Name, len(cold))
+		// Which graphs the fleet passes re-read from disk, rather than from
+		// memory, depends on scheduling. A graph larger than gstore's 4 KiB
+		// budget evicts every other one (the LRU keeps only its newest
+		// entry), so this pass reads every artifact of the stage back from
+		// disk and the graph quarantine check below sees each corrupted
+		// write on every run.
+		if _, err := gstore.Get(context.Background(), "cycle", registry.Values{"n": 128}, 0, 0); err != nil {
+			return err
+		}
+		disk, err := campaign.Run(c, campaign.Options{Parallelism: 2, Graphs: gstore})
+		if err != nil {
+			return fmt.Errorf("stage %s: disk replay: %w", st.plan.Name, err)
+		}
+		diskBytes, err := disk.MarshalStable()
+		if err != nil {
+			return err
+		}
+		if !bytes.Equal(diskBytes, refBytes) {
+			return fmt.Errorf("stage %s: disk-replay bytes differ from fault-free local bytes", st.plan.Name)
+		}
+		fmt.Fprintf(os.Stderr, "stage %s: ok (fleet == warm replay == disk replay == local, %d bytes)\n", st.plan.Name, len(cold))
 		fmt.Fprintf(&out, "== stage %s ==\n", st.plan.Name)
 		out.Write(cold)
 	}

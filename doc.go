@@ -12,8 +12,9 @@
 //	internal/core        — problems, runners, measurement
 //	internal/registry    — named graph families and algorithms (data-driven workload selection)
 //	internal/scenario    — declarative JSON scenario specs with canonical content hashes
-//	internal/graphstore  — content-addressed graph artifacts: memory LRU + checksummed CSR disk tier
-//	internal/resultstore — LRU result cache (optional disk persistence) keyed by (hash, seed)
+//	internal/cache       — the storage tier both stores share: checksummed, bounded, quarantining disk directory + cost-bounded LRU
+//	internal/graphstore  — content-addressed graph artifacts (CSR files) on internal/cache, plus singleflight builds
+//	internal/resultstore — result cache keyed by (hash, seed) on internal/cache (optional disk persistence)
 //	internal/fit         — growth-class classification of measured sweeps; frozen closed-form models
 //	internal/campaign    — hypothesis campaigns: scenarios + claims → verdicts
 //	internal/fleet       — distributed chunk execution with bit-identical merge

@@ -1,24 +1,28 @@
 // Package chaos is a seeded, deterministic fault-injection layer for the
 // fleet/serving stack. It wraps the two seams the stack already has — the
 // HTTP round trip of the fleet worker protocol (internal/fleet) and the
-// disk writes of the result cache (internal/resultstore) — and injects the
-// failure classes a real deployment meets: dropped connections, added
-// latency, 5xx responses, truncated and bit-flipped bodies in either
-// direction, duplicate deliveries, torn or corrupted or missing cache
-// files.
+// disk writes of the shared cache tier (internal/cache, behind both the
+// result cache and the graph artifact store) — and injects the failure
+// classes a real deployment meets: dropped connections, added latency,
+// 5xx responses, truncated and bit-flipped bodies in either direction,
+// duplicate deliveries, torn or corrupted or missing cache files.
 //
-// All randomness is drawn from one PCG stream derived via internal/seedmix
-// from a single master seed, and every fault site draws a fixed number of
-// variates per event, so a chaos run is parameterized by (seed, Plan)
-// alone. The property under test is the stack's headline guarantee: the
-// merged output of a faulted fleet run is byte-identical to a fault-free
-// local run (cmd/avgchaos drives exactly that comparison).
+// Every decision derives via internal/seedmix from a single master seed,
+// and every fault site draws a fixed number of variates per event, so a
+// chaos run is parameterized by (seed, Plan) alone. Transport decisions
+// come from one shared stream; a disk write's decision is a pure function
+// of (seed, key, that key's write count), so which cache files are
+// corrupted does not depend on goroutine interleaving. The property under
+// test is the stack's headline guarantee: the merged output of a faulted
+// fleet run is byte-identical to a fault-free local run (cmd/avgchaos
+// drives exactly that comparison).
 package chaos
 
 import (
 	"bytes"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"math/rand/v2"
 	"net/http"
@@ -49,9 +53,8 @@ type Plan struct {
 	TruncateResp float64 `json:"truncate_resp,omitempty"`  // the response body is cut short
 	CorruptResp  float64 `json:"corrupt_resp,omitempty"`   // one bit of the response body flips
 
-	// Disk-write faults, shared by the result cache and the graph artifact
-	// store (resultstore.Options.TamperDiskWrite and
-	// graphstore.Options.TamperDiskWrite take the same hook).
+	// Disk-write faults of the shared cache tier (cache.Tamper), for the
+	// result cache and the graph artifact store alike.
 	TornWrite    float64 `json:"torn_write,omitempty"`    // the file is truncated mid-write
 	CorruptWrite float64 `json:"corrupt_write,omitempty"` // one bit of the file flips
 	DropWrite    float64 `json:"drop_write,omitempty"`    // the file never appears
@@ -109,20 +112,28 @@ func (s Stats) Total() int64 {
 }
 
 // chaosSeedDomain separates the injector's PCG stream from every other
-// seedmix consumer of the same master seed.
-const chaosSeedDomain = 0x43414F53 // "CAOS"
+// seedmix consumer of the same master seed; writeSeedDomain does the same
+// for the per-write streams.
+const (
+	chaosSeedDomain = 0x43414F53 // "CAOS"
+	writeSeedDomain = 0x57524954 // "WRIT"
+)
 
-// Injector draws fault decisions from one seeded stream and hands out the
-// two hooks: an http.RoundTripper wrapper and a resultstore write tamperer.
-// One Injector may serve any number of transports and stores; the stream is
-// mutex-shared, so decisions depend on event arrival order — which is fine,
-// because the property under test (output byte-identity) must hold for
-// every interleaving.
+// Injector draws fault decisions and hands out the two hooks: an
+// http.RoundTripper wrapper and a disk write tamperer (cache.Tamper). One
+// Injector may serve any number of transports and stores. The transport
+// stream is mutex-shared, so its decisions depend on request arrival order
+// — which is fine, because the property under test (output byte-identity)
+// must hold for every interleaving. Disk-write decisions are keyed instead
+// (see TamperDiskWrite), so the soak's "a corrupted entry was quarantined"
+// checks see the same corruptions on every run.
 type Injector struct {
-	mu    sync.Mutex
-	rng   *rand.Rand
-	plan  Plan
-	stats Stats
+	mu     sync.Mutex
+	seed   uint64
+	rng    *rand.Rand
+	plan   Plan
+	stats  Stats
+	writes map[string]int // disk writes seen per key
 }
 
 // New returns an injector drawing from the PCG stream derived from seed.
@@ -131,11 +142,13 @@ func New(plan Plan, seed uint64) (*Injector, error) {
 		return nil, err
 	}
 	return &Injector{
+		seed: seed,
 		rng: rand.New(rand.NewPCG(
 			seedmix.Derive(seed, chaosSeedDomain, 0),
 			seedmix.Derive(seed, chaosSeedDomain, 1),
 		)),
-		plan: plan,
+		plan:   plan,
+		writes: make(map[string]int),
 	}, nil
 }
 
@@ -312,14 +325,20 @@ func (t *transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	return resp, nil
 }
 
-// TamperDiskWrite is the disk-write fault hook — it fits both
-// resultstore.Options.TamperDiskWrite and graphstore.Options.TamperDiskWrite:
-// torn writes (truncation), corrupted writes (a bit flip) and dropped
-// writes (the file never appears). The stores' checksum layers must turn
-// all three into quarantined (or plain) misses.
+// TamperDiskWrite is the disk-write fault hook (a cache.Tamper, passed as
+// the TamperDiskWrite option of either store): torn writes (truncation),
+// corrupted writes (a bit flip) and dropped writes (the file never
+// appears). The cache tier's checksum must turn all three into quarantined
+// (or plain) misses. The n-th write of a key draws from a stream seeded by
+// (seed, key, n) alone, whichever goroutine reaches the hook first.
 func (in *Injector) TamperDiskWrite(key string, raw []byte) ([]byte, bool) {
+	h := fnv.New64a()
+	h.Write([]byte(key))
 	in.mu.Lock()
-	p, r := &in.plan, in.rng
+	n := in.writes[key]
+	in.writes[key] = n + 1
+	ws := seedmix.Derive(in.seed^h.Sum64(), writeSeedDomain, n)
+	p, r := &in.plan, rand.New(rand.NewPCG(ws, seedmix.Mix64(ws)))
 	torn := r.Float64() < p.TornWrite
 	tornPos := r.Float64()
 	corrupt := r.Float64() < p.CorruptWrite

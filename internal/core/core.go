@@ -302,16 +302,7 @@ func MeasureRange(g *graph.Graph, prob Problem, runner Runner, opt MeasureOption
 		return nil, fmt.Errorf("core: invalid trial range [%d, %d)", lo, hi)
 	}
 	count := hi - lo
-	workers := opt.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > count {
-		workers = count
-	}
-
 	outcomes := make([]TrialOutcome, count)
-	errs := make([]error, count)
 	runTrial := func(trial int, eng *runtime.Engine) (TrialOutcome, error) {
 		assignment := ids.RandomPerm(g.N(), trialIDStream(opt.Seed, trial))
 		var res *runtime.Result
@@ -350,36 +341,56 @@ func MeasureRange(g *graph.Graph, prob Problem, runner Runner, opt MeasureOption
 		}
 		return nil
 	}
-	if workers == 1 {
+	// One engine per worker: an engine's arenas are reused across the
+	// trials that worker runs.
+	err := ForEach(count, opt.Parallelism, func() func(int) error {
 		eng := newEngine()
-		for i := 0; i < count; i++ {
-			outcomes[i], errs[i] = runTrial(lo+i, eng)
-			if errs[i] != nil {
-				break // later trials cannot change the reported error
+		return func(i int) (err error) {
+			outcomes[i], err = runTrial(lo+i, eng)
+			return err
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	return outcomes, nil
+}
+
+// ForEach runs job(i) for every i in [0, n) on up to workers goroutines;
+// newJob is called once per worker, so a job can own per-worker state. With
+// one worker the indices run in order and stop at the first error. With
+// more, indices above the lowest failing one may be skipped: callers read
+// results in index order and stop at the first error, so skipped results
+// are never read. Indices below it still run, since one of them failing
+// would change the reported error. The returned error is the
+// lowest-indexed one, independent of scheduling.
+func ForEach(n, workers int, newJob func() func(i int) error) error {
+	workers = max(min(workers, n), 1)
+	errs := make([]error, n)
+	if workers == 1 {
+		job := newJob()
+		for i := 0; i < n; i++ {
+			if errs[i] = job(i); errs[i] != nil {
+				break // later indices cannot change the reported error
 			}
 		}
 	} else {
-		jobs := make(chan int)
-		// Lowest failing range offset so far. Trials above it can be skipped:
-		// the scan below never reads past the first error, so skipping them
-		// cannot change the outcomes or the reported error. Trials below it
-		// must still run — one of them failing would change the report.
-		minFailed := int64(count)
+		idx := make(chan int)
+		var minFailed atomic.Int64
+		minFailed.Store(int64(n))
 		var wg sync.WaitGroup
 		for w := 0; w < workers; w++ {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				eng := newEngine()
-				for i := range jobs {
-					if int64(i) > atomic.LoadInt64(&minFailed) {
+				job := newJob()
+				for i := range idx {
+					if int64(i) > minFailed.Load() {
 						continue
 					}
-					outcomes[i], errs[i] = runTrial(lo+i, eng)
-					if errs[i] != nil {
-						for {
-							cur := atomic.LoadInt64(&minFailed)
-							if int64(i) >= cur || atomic.CompareAndSwapInt64(&minFailed, cur, int64(i)) {
+					if errs[i] = job(i); errs[i] != nil {
+						for cur := minFailed.Load(); int64(i) < cur; cur = minFailed.Load() {
+							if minFailed.CompareAndSwap(cur, int64(i)) {
 								break
 							}
 						}
@@ -387,18 +398,18 @@ func MeasureRange(g *graph.Graph, prob Problem, runner Runner, opt MeasureOption
 				}
 			}()
 		}
-		for i := 0; i < count; i++ {
-			jobs <- i
+		for i := 0; i < n; i++ {
+			idx <- i
 		}
-		close(jobs)
+		close(idx)
 		wg.Wait()
 	}
 	for _, err := range errs {
 		if err != nil {
-			return nil, err
+			return err
 		}
 	}
-	return outcomes, nil
+	return nil
 }
 
 // MergeTrials aggregates complete trial outcomes (trial order, covering the

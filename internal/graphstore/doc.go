@@ -21,13 +21,16 @@
 // # Tiers
 //
 // Resolution order is memory LRU → in-flight build (singleflight) → disk →
-// generator. The memory tier holds built *graph.Graph values under a byte
-// budget (New's maxBytes; evicted cold-end-first, the newest entry is never
-// evicted). The disk tier (-graph-cache-dir) holds versioned flat CSR
-// images sealed with an "avggraph1 <sha256>" header, written atomically
-// (temp file + rename) and bounded at 16× the memory budget, oldest files
-// evicted first. A warm disk tier loads graphs without re-running
-// generators — the Builds counter stays flat across a restart.
+// generator. Both tiers are internal/cache's, the same code the result
+// cache runs on. The memory tier holds built *graph.Graph values under a
+// byte budget (New's maxBytes; evicted cold-end-first, the newest entry is
+// never evicted). The disk tier (-graph-cache-dir) holds versioned flat
+// CSR images as <key>.csr, sealed with an "avggraph1 <sha256>" header,
+// written atomically (temp file + rename) and bounded at 16× the memory
+// budget in file bytes, oldest files evicted first and the newest always
+// kept. A warm disk tier loads graphs without re-running generators — the
+// Builds counter stays flat across a restart. Disk writes are best-effort:
+// a failed write costs a later rebuild, never a failed Get.
 //
 // # Integrity
 //

@@ -1,7 +1,10 @@
 package graphstore
 
 import (
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"avgloc/internal/cache"
 	"avgloc/internal/registry"
 )
 
@@ -326,7 +330,151 @@ func TestBuildErrorNotCached(t *testing.T) {
 	if st := s.Stats(); st.Entries != 0 {
 		t.Fatalf("error cached: %+v", st)
 	}
-	if !strings.Contains(s.path("ab"), ".csr") {
+	if !strings.Contains(format.Ext, ".csr") {
 		t.Fatal("path extension changed")
+	}
+}
+
+// artifacts lists the .csr files in dir by key, with their total size.
+func artifacts(t *testing.T, dir string) (map[string]bool, int64) {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "*.csr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make(map[string]bool)
+	var total int64
+	for _, p := range paths {
+		info, err := os.Stat(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		keys[strings.TrimSuffix(filepath.Base(p), ".csr")] = true
+		total += info.Size()
+	}
+	return keys, total
+}
+
+func cycleKey(t *testing.T, n int) string {
+	t.Helper()
+	k, err := Key("cycle", registry.Values{"n": float64(n)}, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return k
+}
+
+// TestDiskFormatPinned pins the on-disk bytes: <key>.csr holding
+// "avggraph1 " + hex(sha256(csr)) + "\n" + csr, csr being the graph's
+// MarshalBinary image. A graph cache directory written by an older build
+// stays readable only while this holds.
+func TestDiskFormatPinned(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := s.Get(ctx(), "cycle", registry.Values{"n": 8}, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr, err := g.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(csr)
+	want := append([]byte("avggraph1 "+hex.EncodeToString(sum[:])+"\n"), csr...)
+	got, err := os.ReadFile(filepath.Join(dir, cycleKey(t, 8)+".csr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("artifact bytes differ from the hand-built framing:\n%q\nwant\n%q", got, want)
+	}
+}
+
+// TestDiskTierBounded: the disk tier prunes the oldest artifacts past
+// cache.DiskFactor × maxBytes file bytes, and never the newest, even when
+// that one alone is over the bound.
+func TestDiskTierBounded(t *testing.T) {
+	dir := t.TempDir()
+	const maxBytes = 128 // disk bound = 16 × 128 = 2048 bytes: three small cycles
+	s, err := New(maxBytes, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for n := 8; n <= 14; n++ {
+		if _, err := s.Get(ctx(), "cycle", registry.Values{"n": float64(n)}, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+		keys, total := artifacts(t, dir)
+		if total > cache.DiskFactor*maxBytes {
+			t.Fatalf("after cycle %d the disk tier holds %d bytes, want <= %d", n, total, cache.DiskFactor*maxBytes)
+		}
+		if !keys[cycleKey(t, n)] {
+			t.Fatalf("newest artifact (cycle %d) was pruned", n)
+		}
+	}
+	if keys, _ := artifacts(t, dir); keys[cycleKey(t, 8)] || len(keys) < 2 {
+		t.Fatalf("oldest artifact survived or the bound kept too few: %v", keys)
+	}
+	// An artifact over the bound on its own is still kept, alone.
+	if _, err := s.Get(ctx(), "cycle", registry.Values{"n": 64}, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	keys, total := artifacts(t, dir)
+	if len(keys) != 1 || !keys[cycleKey(t, 64)] || total <= cache.DiskFactor*maxBytes {
+		t.Fatalf("want only the oversized newest artifact on disk, got %v (%d bytes)", keys, total)
+	}
+	// A restart indexes it and loads it instead of building.
+	s2, err := New(maxBytes, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.Get(ctx(), "cycle", registry.Values{"n": 64}, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if st := s2.Stats(); st.Loads != 1 || st.Builds != 0 {
+		t.Fatalf("stats %+v, want loads=1 builds=0", st)
+	}
+}
+
+// TestDiskFallbackRegistersKey: an artifact that appears after the startup
+// scan (another process, an operator copy) is loaded by Get and joins the
+// disk-tier bookkeeping, so pruning can still evict it.
+func TestDiskFallbackRegistersKey(t *testing.T) {
+	dir := t.TempDir()
+	s, err := New(64, dir) // disk bound = 1024 bytes: two small cycles
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := Shared().Get(ctx(), "cycle", registry.Values{"n": 8}, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	csr, err := g.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	outOfBand := cycleKey(t, 8)
+	if err := os.WriteFile(filepath.Join(dir, outOfBand+".csr"), cache.Seal(format.Magic, csr), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Get(ctx(), "cycle", registry.Values{"n": 8}, 1, 2); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Stats(); st.Loads != 1 || st.Builds != 0 {
+		t.Fatalf("stats %+v, want the out-of-band artifact loaded (loads=1 builds=0)", st)
+	}
+	if !s.disk.Has(outOfBand) {
+		t.Fatal("disk fallback loaded the artifact without registering it in the disk tier")
+	}
+	for n := 9; n <= 12; n++ {
+		if _, err := s.Get(ctx(), "cycle", registry.Values{"n": float64(n)}, 1, 2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if keys, _ := artifacts(t, dir); keys[outOfBand] {
+		t.Fatal("out-of-band artifact survived disk pruning")
 	}
 }

@@ -2,31 +2,24 @@
 // scenario content key (hash + seed, see internal/scenario.Spec.Key). The
 // cached value is the exact byte rendering of the outcome, so a cache hit
 // is served bit-identically to the run that produced it. The store is a
-// bounded in-memory LRU with optional write-through disk persistence, which
+// bounded in-memory LRU over an optional write-through disk tier, which
 // lets a restarted server keep serving previously computed scenarios. Both
-// tiers are bounded: memory at the configured capacity, disk at a fixed
-// multiple of it (oldest files evicted first).
+// tiers are internal/cache's, shared with internal/graphstore: memory holds
+// the configured number of entries, disk 16× as many files (oldest files
+// evicted first).
 //
-// Disk entries are checksummed: every file carries a sha256 of its payload,
-// and a file that fails verification — a torn write, a bit flip, an
-// operator truncation — is moved to a quarantine subdirectory and reported
-// as a miss instead of being served. A corrupt cache entry therefore costs
-// one re-execution, never a poisoned read.
+// Disk entries are checksummed ("avgstore1 <sha256>" header, <key>.json):
+// a file that fails verification — a torn write, a bit flip, an operator
+// truncation — is moved to a quarantine subdirectory and reported as a miss
+// instead of being served. A corrupt cache entry therefore costs one
+// re-execution, never a poisoned read.
 package resultstore
 
 import (
-	"bytes"
-	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
-	"sync"
 	"sync/atomic"
 
+	"avgloc/internal/cache"
 	"avgloc/internal/obs"
 )
 
@@ -44,61 +37,30 @@ type Stats struct {
 
 // Options carries the optional knobs of NewWithOptions.
 type Options struct {
-	// TamperDiskWrite, if non-nil, intercepts the raw file bytes of every
-	// disk write after the checksum header is attached: it may mutate them
-	// (bit flips), shorten them (torn writes) or drop the write entirely
-	// (return drop=true — the file never appears). It exists for
-	// deterministic fault injection (internal/chaos); the checksum layer
-	// must convert every such corruption into a quarantined miss.
-	TamperDiskWrite func(key string, raw []byte) (out []byte, drop bool)
+	// TamperDiskWrite, if non-nil, intercepts the sealed bytes of every disk
+	// write (see cache.Tamper); internal/chaos injects faults through it.
+	TamperDiskWrite cache.Tamper
 }
 
 // Store is a bounded LRU of serialized reports. The zero value is not
 // usable; construct with New.
 type Store struct {
-	mu    sync.Mutex
-	cap   int
-	ll    *list.List // front = most recently used
-	index map[string]*list.Element
-	dir   string // "" = memory only
+	mem  *cache.LRU[[]byte] // every entry costs 1
+	disk *cache.Dir         // nil = memory only
 
-	// Traffic counters are atomics, not fields under mu: they are read by
-	// the metrics registry (CounterFunc) from scrape handlers that must
-	// never contend with the store's own lock.
-	hits        atomic.Int64
-	misses      atomic.Int64
-	puts        atomic.Int64
-	evictions   atomic.Int64
-	quarantined atomic.Int64
-
-	tamper func(key string, raw []byte) ([]byte, bool)
-
-	// The disk tier is bounded too (diskFactor × cap files): a stream of
-	// distinct keys must not fill the disk of a long-running server. Files
-	// are evicted in write order (startup scan ordered by mtime).
-	diskCap  int
-	diskKeys []string
-	diskSet  map[string]bool
+	// Traffic counters are atomics: they are read by the metrics registry
+	// (CounterFunc) from scrape handlers that must never contend with a
+	// store lock.
+	hits   atomic.Int64
+	misses atomic.Int64
+	puts   atomic.Int64
 }
-
-// diskFactor sizes the disk tier relative to the memory tier.
-const diskFactor = 16
 
 // QuarantineDir is the subdirectory of the cache directory that corrupt
-// files are moved into. Files under it are never read back or pruned by the
-// store: they are evidence for the operator (and for the chaos harness to
-// assert on), not cache state.
-const QuarantineDir = "quarantine"
+// files are moved into.
+const QuarantineDir = cache.QuarantineDir
 
-// entryMagic heads every disk entry, followed by the hex sha256 of the
-// payload and a newline. A file without this exact framing — including
-// pre-checksum legacy files — fails verification and is quarantined.
-const entryMagic = "avgstore1 "
-
-type entry struct {
-	key string
-	val []byte
-}
+var format = cache.Format{Magic: "avgstore1 ", Ext: ".json", Valid: validKey}
 
 // New returns a store holding at most capacity entries in memory. If dir is
 // non-empty it is created and every Put is also written there (one file per
@@ -113,77 +75,19 @@ func NewWithOptions(capacity int, dir string, opts Options) (*Store, error) {
 	if capacity < 1 {
 		return nil, fmt.Errorf("resultstore: capacity must be >= 1, got %d", capacity)
 	}
-	s := &Store{
-		cap:     capacity,
-		ll:      list.New(),
-		index:   make(map[string]*list.Element),
-		dir:     dir,
-		tamper:  opts.TamperDiskWrite,
-		diskCap: diskFactor * capacity,
-		diskSet: make(map[string]bool),
-	}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, fmt.Errorf("resultstore: %w", err)
-		}
-		if err := s.scanDisk(); err != nil {
-			return nil, err
-		}
-	}
-	return s, nil
-}
-
-// scanDisk indexes pre-existing cache files oldest-first so the eviction
-// order of a restarted server continues where the previous one stopped.
-func (s *Store) scanDisk() error {
-	entries, err := os.ReadDir(s.dir)
+	perFile := func(int64) int64 { return 1 }
+	disk, err := cache.NewDir(dir, format, cache.DiskFactor*int64(capacity), perFile, opts.TamperDiskWrite)
 	if err != nil {
-		return fmt.Errorf("resultstore: %w", err)
+		return nil, fmt.Errorf("resultstore: %w", err)
 	}
-	type aged struct {
-		key string
-		mod int64
-	}
-	var files []aged
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") {
-			continue
-		}
-		key := strings.TrimSuffix(name, ".json")
-		if !validKey(key) {
-			continue
-		}
-		info, err := e.Info()
-		if err != nil {
-			continue
-		}
-		files = append(files, aged{key, info.ModTime().UnixNano()})
-	}
-	sort.Slice(files, func(i, j int) bool { return files[i].mod < files[j].mod })
-	for _, f := range files {
-		s.diskKeys = append(s.diskKeys, f.key)
-		s.diskSet[f.key] = true
-	}
-	s.pruneDiskLocked()
-	return nil
-}
-
-// pruneDiskLocked removes the oldest disk files beyond the disk bound.
-// Caller holds s.mu (or has exclusive access during New).
-func (s *Store) pruneDiskLocked() {
-	for len(s.diskKeys) > s.diskCap {
-		key := s.diskKeys[0]
-		s.diskKeys = s.diskKeys[1:]
-		delete(s.diskSet, key)
-		os.Remove(s.path(key))
-	}
+	return &Store{mem: cache.NewLRU[[]byte](int64(capacity)), disk: disk}, nil
 }
 
 // validKey reports whether key is safe as a file name: hex hash + "-s" +
 // decimal seed (scenario.Key), optionally followed by a chunk suffix
 // "-c<row>-<lo>-<hi>" (scenario.ChunkKey) — the fleet coordinator caches
-// chunk partials in the same store as full outcomes.
+// chunk partials in the same store as full outcomes. Keys arrive from
+// GET /v1/reports/{key}, so the check runs before any path is built.
 func validKey(key string) bool {
 	if key == "" || len(key) > 128 {
 		return false
@@ -198,108 +102,24 @@ func validKey(key string) bool {
 	return true
 }
 
-func (s *Store) path(key string) string {
-	return filepath.Join(s.dir, key+".json")
-}
-
-// sealEntry frames payload for disk: magic, payload checksum, newline,
-// payload. Any later mutation of the file — header or payload, one bit or a
-// truncation — breaks verification.
-func sealEntry(payload []byte) []byte {
-	sum := sha256.Sum256(payload)
-	out := make([]byte, 0, len(entryMagic)+hex.EncodedLen(len(sum))+1+len(payload))
-	out = append(out, entryMagic...)
-	out = append(out, hex.EncodeToString(sum[:])...)
-	out = append(out, '\n')
-	return append(out, payload...)
-}
-
-// openEntry verifies a disk entry's framing and checksum and returns the
-// payload.
-func openEntry(raw []byte) ([]byte, error) {
-	if !bytes.HasPrefix(raw, []byte(entryMagic)) {
-		return nil, fmt.Errorf("resultstore: entry missing %q header", strings.TrimSpace(entryMagic))
-	}
-	rest := raw[len(entryMagic):]
-	nl := bytes.IndexByte(rest, '\n')
-	if nl < 0 {
-		return nil, fmt.Errorf("resultstore: entry header truncated")
-	}
-	payload := rest[nl+1:]
-	sum := sha256.Sum256(payload)
-	if want := string(rest[:nl]); want != hex.EncodeToString(sum[:]) {
-		return nil, fmt.Errorf("resultstore: checksum mismatch")
-	}
-	return payload, nil
-}
-
-// quarantineLocked moves a corrupt disk file aside — into dir/quarantine —
-// and drops it from the disk bookkeeping, so it is re-executed on the next
-// request and never served. Caller holds s.mu.
-func (s *Store) quarantineLocked(key string) {
-	qdir := filepath.Join(s.dir, QuarantineDir)
-	if err := os.MkdirAll(qdir, 0o755); err == nil {
-		os.Rename(s.path(key), filepath.Join(qdir, key+".json"))
-	} else {
-		os.Remove(s.path(key))
-	}
-	if s.diskSet[key] {
-		delete(s.diskSet, key)
-		for i, k := range s.diskKeys {
-			if k == key {
-				s.diskKeys = append(s.diskKeys[:i], s.diskKeys[i+1:]...)
-				break
-			}
-		}
-	}
-	s.quarantined.Add(1)
-}
-
 // Get returns the cached bytes for key. The returned slice is a copy. A
 // memory miss consults the disk directory (if configured), verifies the
 // entry's checksum, and re-admits it on success; a corrupt file is
 // quarantined and reported as a miss.
 func (s *Store) Get(key string) ([]byte, bool) {
-	s.mu.Lock()
-	if el, ok := s.index[key]; ok {
-		s.ll.MoveToFront(el)
-		val := append([]byte(nil), el.Value.(*entry).val...)
-		s.hits.Add(1)
-		s.mu.Unlock()
-		return val, true
-	}
-	dir := s.dir
-	s.mu.Unlock()
-
-	if dir != "" && validKey(key) {
-		if raw, err := os.ReadFile(s.path(key)); err == nil {
-			payload, verr := openEntry(raw)
-			s.mu.Lock()
-			if verr != nil {
-				s.quarantineLocked(key)
-				s.misses.Add(1)
-				s.mu.Unlock()
-				return nil, false
-			}
-			s.admit(key, append([]byte(nil), payload...))
-			// A file that appeared after the startup scan (another writer,
-			// an operator copy) must join the disk bookkeeping here, or it
-			// would stay invisible to pruneDiskLocked forever and leak past
-			// the disk bound.
-			if !s.diskSet[key] {
-				s.diskSet[key] = true
-				s.diskKeys = append(s.diskKeys, key)
-				s.pruneDiskLocked()
-			}
-			s.hits.Add(1)
-			s.mu.Unlock()
-			return append([]byte(nil), payload...), true
+	val, ok := s.mem.Get(key)
+	if !ok {
+		found, err := s.disk.Load(key, func(payload []byte) error { val = payload; return nil })
+		if ok = found && err == nil; ok {
+			s.mem.Add(key, val, 1)
 		}
 	}
-	s.mu.Lock()
-	s.misses.Add(1)
-	s.mu.Unlock()
-	return nil, false
+	if !ok {
+		s.misses.Add(1)
+		return nil, false
+	}
+	s.hits.Add(1)
+	return append([]byte(nil), val...), true
 }
 
 // Put stores val under key, evicting the least recently used entry when the
@@ -309,71 +129,16 @@ func (s *Store) Put(key string, val []byte) error {
 		return fmt.Errorf("resultstore: invalid key %q", key)
 	}
 	cp := append([]byte(nil), val...)
-	s.mu.Lock()
-	s.admit(key, cp)
+	s.mem.Add(key, cp, 1)
 	s.puts.Add(1)
-	dir := s.dir
-	s.mu.Unlock()
-
-	if dir == "" {
-		return nil
-	}
-	raw := sealEntry(cp)
-	if s.tamper != nil {
-		var drop bool
-		if raw, drop = s.tamper(key, raw); drop {
-			return nil // injected "missing file": the write never lands
-		}
-	}
-	tmp, err := os.CreateTemp(dir, "put-*")
-	if err != nil {
+	if err := s.disk.Put(key, cp); err != nil {
 		return fmt.Errorf("resultstore: %w", err)
 	}
-	if _, err := tmp.Write(raw); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), s.path(key)); err != nil {
-		os.Remove(tmp.Name())
-		return fmt.Errorf("resultstore: %w", err)
-	}
-	s.mu.Lock()
-	if !s.diskSet[key] {
-		s.diskSet[key] = true
-		s.diskKeys = append(s.diskKeys, key)
-		s.pruneDiskLocked()
-	}
-	s.mu.Unlock()
 	return nil
 }
 
-// admit inserts or refreshes key in the LRU. Caller holds s.mu.
-func (s *Store) admit(key string, val []byte) {
-	if el, ok := s.index[key]; ok {
-		el.Value.(*entry).val = val
-		s.ll.MoveToFront(el)
-		return
-	}
-	s.index[key] = s.ll.PushFront(&entry{key: key, val: val})
-	for s.ll.Len() > s.cap {
-		oldest := s.ll.Back()
-		s.ll.Remove(oldest)
-		delete(s.index, oldest.Value.(*entry).key)
-		s.evictions.Add(1)
-	}
-}
-
 // Len returns the number of in-memory entries.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ll.Len()
-}
+func (s *Store) Len() int { return s.mem.Len() }
 
 // Stats returns a snapshot of the traffic counters.
 func (s *Store) Stats() Stats {
@@ -381,8 +146,8 @@ func (s *Store) Stats() Stats {
 		Hits:        s.hits.Load(),
 		Misses:      s.misses.Load(),
 		Puts:        s.puts.Load(),
-		Evictions:   s.evictions.Load(),
-		Quarantined: s.quarantined.Load(),
+		Evictions:   s.mem.Evictions(),
+		Quarantined: s.disk.Quarantined(),
 		Entries:     s.Len(),
 	}
 }
@@ -395,7 +160,7 @@ func (s *Store) RegisterMetrics(r *obs.Registry) {
 	r.CounterFunc("avg_store_hits_total", "Result store cache hits (memory or verified disk).", s.hits.Load)
 	r.CounterFunc("avg_store_misses_total", "Result store cache misses.", s.misses.Load)
 	r.CounterFunc("avg_store_puts_total", "Result store writes.", s.puts.Load)
-	r.CounterFunc("avg_store_evictions_total", "In-memory LRU evictions.", s.evictions.Load)
-	r.CounterFunc("avg_store_quarantined_total", "Disk entries that failed checksum verification and were quarantined.", s.quarantined.Load)
+	r.CounterFunc("avg_store_evictions_total", "In-memory LRU evictions.", s.mem.Evictions)
+	r.CounterFunc("avg_store_quarantined_total", "Disk entries that failed checksum verification and were quarantined.", s.disk.Quarantined)
 	r.GaugeFunc("avg_store_entries", "In-memory entries currently cached.", func() float64 { return float64(s.Len()) })
 }

@@ -2,11 +2,15 @@ package resultstore
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"os"
 	"path/filepath"
 	"sync"
 	"testing"
+
+	"avgloc/internal/cache"
 )
 
 func TestGetPutRoundTrip(t *testing.T) {
@@ -96,10 +100,10 @@ func TestDiskPersistence(t *testing.T) {
 }
 
 // TestDiskTierBounded: the disk tier evicts oldest files beyond
-// diskFactor × capacity, so -cache-dir cannot grow without bound.
+// cache.DiskFactor × capacity, so -cache-dir cannot grow without bound.
 func TestDiskTierBounded(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(1, dir) // disk bound = diskFactor = 16 files
+	s, err := New(1, dir) // disk bound = cache.DiskFactor = 16 files
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,8 +116,8 @@ func TestDiskTierBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) > diskFactor {
-		t.Fatalf("disk tier holds %d files, want <= %d", len(files), diskFactor)
+	if len(files) > cache.DiskFactor {
+		t.Fatalf("disk tier holds %d files, want <= %d", len(files), cache.DiskFactor)
 	}
 	// Newest key survives on disk, oldest is gone.
 	if _, ok := s.Get("039-s0"); !ok {
@@ -131,10 +135,10 @@ func TestDiskTierBounded(t *testing.T) {
 // TestDiskFallbackRegistersKey is the regression test for the out-of-band
 // file bug: a cache file created after the startup scan is admitted to
 // memory by Get, and must also join the disk-tier bookkeeping — otherwise
-// pruneDiskLocked can never evict it and the disk bound silently leaks.
+// the disk tier can never prune it and the disk bound silently leaks.
 func TestDiskFallbackRegistersKey(t *testing.T) {
 	dir := t.TempDir()
-	s, err := New(1, dir) // disk bound = diskFactor = 16 files
+	s, err := New(1, dir) // disk bound = cache.DiskFactor = 16 files
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,53 +146,46 @@ func TestDiskFallbackRegistersKey(t *testing.T) {
 	// copy) — the store learns of it only through the Get fallback. It must
 	// carry the checksum framing or it would be quarantined, not admitted.
 	outOfBand := "00ab-s3"
-	if err := os.WriteFile(s.path(outOfBand), sealEntry([]byte("out of band")), 0o644); err != nil {
+	if err := os.WriteFile(s.disk.Path(outOfBand), cache.Seal(format.Magic, []byte("out of band")), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, ok := s.Get(outOfBand); !ok {
 		t.Fatal("disk fallback missed the out-of-band file")
 	}
-	s.mu.Lock()
-	registered := s.diskSet[outOfBand]
-	s.mu.Unlock()
-	if !registered {
+	if !s.disk.Has(outOfBand) {
 		t.Fatal("disk fallback admitted the file without registering it in the disk tier")
 	}
 	// Push the disk tier past its bound: the out-of-band file is the
 	// oldest registered key, so it must be evicted — before the fix it
 	// survived every prune.
-	for i := 0; i < diskFactor+4; i++ {
+	for i := 0; i < cache.DiskFactor+4; i++ {
 		if err := s.Put(fmt.Sprintf("%03d-s0", i), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := os.Stat(s.path(outOfBand)); !os.IsNotExist(err) {
+	if _, err := os.Stat(s.disk.Path(outOfBand)); !os.IsNotExist(err) {
 		t.Fatalf("out-of-band file survived disk pruning (err=%v)", err)
 	}
 	files, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) > diskFactor {
-		t.Fatalf("disk tier holds %d files, want <= %d", len(files), diskFactor)
+	if len(files) > cache.DiskFactor {
+		t.Fatalf("disk tier holds %d files, want <= %d", len(files), cache.DiskFactor)
 	}
 }
 
 // corruptOnDisk evicts key from memory (so the next Get must consult disk)
-// and rewrites its file through mutate.
+// and rewrites its file through mutate. It empties the whole memory tier,
+// keeping the capacity of 2 every caller's store has.
 func corruptOnDisk(t *testing.T, s *Store, key string, mutate func([]byte) []byte) {
 	t.Helper()
-	s.mu.Lock()
-	if el, ok := s.index[key]; ok {
-		s.ll.Remove(el)
-		delete(s.index, key)
-	}
-	s.mu.Unlock()
-	raw, err := os.ReadFile(s.path(key))
+	s.mem = cache.NewLRU[[]byte](2)
+	raw, err := os.ReadFile(s.disk.Path(key))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.path(key), mutate(raw), 0o644); err != nil {
+	if err := os.WriteFile(s.disk.Path(key), mutate(raw), 0o644); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -228,7 +225,7 @@ func TestCorruptDiskEntryQuarantined(t *testing.T) {
 			if st := s.Stats(); st.Quarantined != 1 {
 				t.Fatalf("Quarantined = %d, want 1", st.Quarantined)
 			}
-			if _, err := os.Stat(s.path(key)); !os.IsNotExist(err) {
+			if _, err := os.Stat(s.disk.Path(key)); !os.IsNotExist(err) {
 				t.Fatalf("corrupt file still in cache dir (err=%v)", err)
 			}
 			qpath := filepath.Join(dir, QuarantineDir, key+".json")
@@ -289,7 +286,7 @@ func TestTamperDiskWrite(t *testing.T) {
 	if err := s.Put("cc-s1", []byte("v2")); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(s.path("cc-s1")); !os.IsNotExist(err) {
+	if _, err := os.Stat(s.disk.Path("cc-s1")); !os.IsNotExist(err) {
 		t.Fatalf("dropped write produced a file (err=%v)", err)
 	}
 	s.Put("dd-s1", []byte("evictor2"))
@@ -358,5 +355,42 @@ func TestConcurrentAccess(t *testing.T) {
 	wg.Wait()
 	if s.Len() > 8 {
 		t.Fatalf("len %d exceeds capacity", s.Len())
+	}
+}
+
+// TestDiskFormatPinned pins the on-disk bytes: <key>.json holding
+// "avgstore1 " + hex(sha256(payload)) + "\n" + payload. A cache directory
+// written by an older build stays readable only while this holds, so both
+// directions are checked: what Put writes, and a hand-built file being
+// served.
+func TestDiskFormatPinned(t *testing.T) {
+	seal := func(payload string) []byte {
+		sum := sha256.Sum256([]byte(payload))
+		return []byte("avgstore1 " + hex.EncodeToString(sum[:]) + "\n" + payload)
+	}
+	dir := t.TempDir()
+	s, err := New(2, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Put("ab12-s7", []byte(`{"hash":"ab12"}`)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(filepath.Join(dir, "ab12-s7.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := seal(`{"hash":"ab12"}`); !bytes.Equal(got, want) {
+		t.Fatalf("disk entry\n%q\nwant\n%q", got, want)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "cd34-s1.json"), seal("hand built"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := New(2, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := s2.Get("cd34-s1"); !ok || string(got) != "hand built" {
+		t.Fatalf("hand-built entry not served: %q ok=%v", got, ok)
 	}
 }

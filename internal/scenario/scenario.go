@@ -18,8 +18,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 
 	"avgloc/internal/core"
 	"avgloc/internal/graphstore"
@@ -277,69 +275,20 @@ func rowSeed(seed uint64, row int) uint64 {
 	return seedmix.Derive(seed, rowSeedDomain, row)
 }
 
-// runRows executes n row jobs on up to `workers` concurrent workers,
-// handing each job the leftover worker budget as its measurement
-// parallelism. Jobs above the lowest failing row index may be skipped: the
-// caller merges in row order and stops at the first error, so their results
-// are never read. The returned error is the
-// lowest-indexed one, independent of scheduling.
+// runRows executes n row jobs on up to `workers` concurrent workers
+// (core.ForEach), handing each job the leftover worker budget as its
+// measurement parallelism. The caller merges in row order and stops at the
+// first error; the returned error is the lowest-indexed one, independent of
+// scheduling.
 func runRows(n, workers int, job func(row, measurePar int) error) error {
-	if workers < 1 {
-		workers = 1
-	}
-	rowWorkers := workers
-	if rowWorkers > n {
-		rowWorkers = n
-	}
+	workers = max(workers, 1)
 	measurePar := 1
-	if rowWorkers > 0 {
-		measurePar = workers / rowWorkers
+	if rowWorkers := min(workers, n); rowWorkers > 0 {
+		measurePar = max(workers/rowWorkers, 1)
 	}
-	if measurePar < 1 {
-		measurePar = 1
-	}
-	errs := make([]error, n)
-	if rowWorkers <= 1 {
-		for i := 0; i < n; i++ {
-			if errs[i] = job(i, measurePar); errs[i] != nil {
-				break
-			}
-		}
-	} else {
-		idx := make(chan int)
-		minFailed := int64(n)
-		var wg sync.WaitGroup
-		for w := 0; w < rowWorkers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idx {
-					if int64(i) > atomic.LoadInt64(&minFailed) {
-						continue
-					}
-					if errs[i] = job(i, measurePar); errs[i] != nil {
-						for {
-							cur := atomic.LoadInt64(&minFailed)
-							if int64(i) >= cur || atomic.CompareAndSwapInt64(&minFailed, cur, int64(i)) {
-								break
-							}
-						}
-					}
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return core.ForEach(n, workers, func() func(int) error {
+		return func(row int) error { return job(row, measurePar) }
+	})
 }
 
 // Run executes the scenario: each row builds its graph from a row-derived
