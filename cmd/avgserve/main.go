@@ -76,8 +76,6 @@ func run() error {
 	heartbeat := flag.Duration("fleet-heartbeat", fleet.DefaultHeartbeatTimeout, "lease expiry without a worker heartbeat; silent workers deregister after twice this")
 	stealAfter := flag.Duration("fleet-steal-after", fleet.DefaultStealAfter, "lease age before an idle worker may duplicate a straggling chunk")
 	requestTimeout := flag.Duration("request-timeout", 0, "per-request execution deadline, queue wait included (0 = unbounded)")
-	breakerThreshold := flag.Int("breaker-threshold", fleet.DefaultBreakerThreshold, "consecutive fleet failures before dispatch trips to local execution")
-	breakerCooldown := flag.Duration("breaker-cooldown", fleet.DefaultBreakerCooldown, "how long a tripped breaker routes around the fleet before re-probing")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound for in-flight requests on SIGTERM/SIGINT")
 	traceDir := flag.String("trace-dir", "", "write a flight-recorder trace artifact per executed run into this directory (read with avgtrace)")
 	pprofFlag := flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/")
@@ -97,15 +95,13 @@ func run() error {
 		}
 	}
 	cfg := serverConfig{
-		store:            store,
-		graphs:           graphs,
-		workers:          *workers,
-		par:              *parallelism,
-		requestTimeout:   *requestTimeout,
-		breakerThreshold: *breakerThreshold,
-		breakerCooldown:  *breakerCooldown,
-		traceDir:         *traceDir,
-		pprof:            *pprofFlag,
+		store:          store,
+		graphs:         graphs,
+		workers:        *workers,
+		par:            *parallelism,
+		requestTimeout: *requestTimeout,
+		traceDir:       *traceDir,
+		pprof:          *pprofFlag,
 	}
 	if cfg.workers < 1 {
 		cfg.workers = 1

@@ -115,10 +115,6 @@ type serverConfig struct {
 	coord    *fleet.Coordinator // nil = local execution only
 	// requestTimeout bounds one job end to end (0 = unbounded).
 	requestTimeout time.Duration
-	// breakerThreshold / breakerCooldown parameterize the fleet-dispatch
-	// circuit breaker (zero values select the fleet defaults).
-	breakerThreshold int
-	breakerCooldown  time.Duration
 	// traceDir enables per-job flight-recorder artifacts ("" = off).
 	traceDir string
 	// pprof mounts net/http/pprof under /debug/pprof/.
@@ -165,7 +161,7 @@ func newServerCfg(cfg serverConfig) *server {
 		inflight:       make(map[string]*job),
 	}
 	if cfg.coord != nil {
-		s.breaker = fleet.NewBreaker(cfg.breakerThreshold, cfg.breakerCooldown)
+		s.breaker = fleet.NewBreaker()
 	}
 	s.registerMetrics()
 	for w := 0; w < cfg.workers; w++ {

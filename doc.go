@@ -62,10 +62,11 @@
 //
 // # Deterministic parallelism
 //
-// core.Measure fans independent trials over a worker pool
+// core.MeasureRange fans independent trials over a worker pool
 // (MeasureOptions.Parallelism); scenario.Run fans sweep rows out under one
 // budget (Options.Parallelism, split between concurrent rows and per-row
-// trial workers). Every random stream is derived from the master seed and
+// trial workers by core.ForEachSplit, which campaign.Run uses one level
+// up for its scenarios). Every random stream is derived from the master seed and
 // the (row, trial) indices alone: identifier permutations and graph
 // generation use counter-keyed PCG streams, while algorithm seeds and
 // per-row measurement seeds go through SplitMix64-finalized counter
@@ -91,7 +92,10 @@
 // that layer over HTTP behind a bounded worker pool, caching each
 // outcome's exact byte rendering in internal/resultstore under (hash,
 // seed): identical submissions are answered from the cache
-// bit-identically, at any worker count. One level below the result cache,
+// bit-identically, at any worker count. A row is measured one way
+// everywhere: scenario.Run, scenario.RunChunk, campaigns, the fleet's
+// local fallback and cmd/localsim all go through one row function in
+// internal/scenario, so localsim prints row 0 of /v1/run for its spec. One level below the result cache,
 // internal/graphstore supplies every layer's graphs as content-addressed
 // artifacts — an in-memory LRU over immutable graphs plus an optional
 // checksummed CSR disk tier (-graph-cache-dir) that reruns a sweep with
@@ -109,8 +113,11 @@
 // measurement, scenario.RunChunk runs such a range of one sweep row on
 // any machine, and scenario.MergeChunks reassembles any partition of a
 // scenario's (row, trial) space into the exact bytes scenario.Run
-// produces — core.Measure is itself implemented as MeasureRange +
-// MergeTrials, so the equivalence holds by construction. The fleet
+// produces — scenario.Run measures each row as one chunk and merges it
+// through the same per-row merge, so the equivalence holds by
+// construction. Every chunk read from a worker or the chunk cache passes
+// scenario.Chunk.Check (identity, trial count, per-trial array sizes)
+// before it may reach the merge. The fleet
 // Coordinator shards specs into chunks and leases them to cmd/avgworker
 // processes over a pull-based HTTP protocol with heartbeats,
 // retry-on-worker-loss, work stealing for stragglers, and chunk-level

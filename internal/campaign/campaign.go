@@ -29,7 +29,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"strings"
-	"sync"
 
 	"avgloc/internal/core"
 	"avgloc/internal/fit"
@@ -503,20 +502,19 @@ type Options struct {
 	// their next row boundary. Completed scenarios still wrote through to
 	// the store, so a retry resumes from cache.
 	Ctx context.Context
-	// Execute, if non-nil, replaces the local scenario executor on cache
-	// misses: it receives the campaign context (context.Background when Ctx
-	// is nil), the normalized spec and the per-scenario slice of the
-	// Parallelism budget. The fleet coordinator plugs in here, so every
-	// scenario of a campaign draws on one shared fleet budget instead of
-	// each opening its own; because fleet execution is byte-identical to
-	// local, the report does not depend on which executor ran.
-	Execute func(ctx context.Context, spec *scenario.Spec, parallelism int) (*scenario.Outcome, error)
-	// Graphs, if non-nil, is the graph store local scenario execution
-	// fetches graphs through (-graph-cache-dir): campaign scenarios that
-	// sweep the same families share builds, and a warm disk tier runs a
-	// repeat campaign with zero generator invocations. Nil selects the
-	// process-wide shared store. Ignored when Execute is set — a remote
-	// executor's workers own their stores.
+	// Execute, if non-nil, replaces scenario.Run on cache misses. It gets
+	// the normalized spec and scenario options carrying the campaign
+	// context, the per-scenario slice of the Parallelism budget and Graphs.
+	// The fleet coordinator plugs in here, so every scenario of a campaign
+	// draws on one shared fleet budget instead of each opening its own;
+	// because fleet execution is byte-identical to local, the report does
+	// not depend on which executor ran.
+	Execute func(*scenario.Spec, scenario.Options) (*scenario.Outcome, error)
+	// Graphs, if non-nil, is the graph store scenario execution fetches
+	// graphs through (-graph-cache-dir): campaign scenarios that sweep the
+	// same families share builds, and a warm disk tier runs a repeat
+	// campaign with zero generator invocations. Nil selects the
+	// process-wide shared store.
 	Graphs *graphstore.Store
 }
 
@@ -561,31 +559,13 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 		}
 	}
 
-	// Split the budget between concurrent scenarios and per-scenario
-	// row/trial parallelism, mirroring the scenario layer's rows×trials
-	// split one level up.
-	workers := opt.Parallelism
-	if workers < 1 {
-		workers = 1
-	}
-	scenWorkers := workers
-	if scenWorkers > len(uniq) {
-		scenWorkers = len(uniq)
-	}
-	perScenario := workers / scenWorkers
-	if perScenario < 1 {
-		perScenario = 1
-	}
-
 	ctx := opt.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	runSpec := opt.Execute
-	if runSpec == nil {
-		runSpec = func(ctx context.Context, spec *scenario.Spec, parallelism int) (*scenario.Outcome, error) {
-			return scenario.Run(spec, scenario.Options{Parallelism: parallelism, Ctx: ctx, Graphs: opt.Graphs})
-		}
+	exec := opt.Execute
+	if exec == nil {
+		exec = scenario.Run
 	}
 	// The campaign span parents one campaign.scenario span per unique
 	// execution slot; the slot's span travels down through the context so
@@ -593,7 +573,7 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 	// under it. All nil no-ops when the caller carries no span.
 	campSpan := obs.FromCtx(opt.Ctx).Span("campaign.run",
 		obs.A("name", c.Name), obs.A("scenarios", n), obs.A("unique", len(uniq)))
-	execute := func(key string) {
+	execute := func(key string, parallelism int) {
 		s := slots[key]
 		defer close(s.done)
 		scenSpan := campSpan.Span("campaign.scenario", obs.A("key", key))
@@ -616,7 +596,11 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 			scenSpan.End(obs.A("error", err.Error()))
 			return
 		}
-		out, err := runSpec(obs.With(ctx, scenSpan), bySlot[key], perScenario)
+		out, err := exec(bySlot[key], scenario.Options{
+			Parallelism: parallelism,
+			Ctx:         obs.With(ctx, scenSpan),
+			Graphs:      opt.Graphs,
+		})
 		if err != nil {
 			s.err = err
 			scenSpan.End(obs.A("error", err.Error()))
@@ -633,22 +617,16 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 		scenSpan.End(obs.A("cached", false))
 	}
 
-	jobs := make(chan string)
-	var wg sync.WaitGroup
-	for w := 0; w < scenWorkers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for key := range jobs {
-				execute(key)
-			}
-		}()
-	}
+	// Scenarios split the budget with their rows × trials exactly as a
+	// scenario splits it between rows and trials. The pool runs beside the
+	// loop below, which streams completions in campaign order.
+	poolDone := make(chan struct{})
 	go func() {
-		for _, key := range uniq {
-			jobs <- key
-		}
-		close(jobs)
+		defer close(poolDone)
+		core.ForEachSplit(len(uniq), opt.Parallelism, func(i, parallelism int) error {
+			execute(uniq[i], parallelism) // errors stay in the slot
+			return nil
+		})
 	}()
 
 	runs := make([]ScenarioRun, n)
@@ -669,7 +647,7 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 			opt.OnScenario(runs[i])
 		}
 	}
-	wg.Wait()
+	<-poolDone
 	rep, err := Evaluate(c, runs)
 	if err != nil {
 		campSpan.End(obs.A("error", err.Error()))

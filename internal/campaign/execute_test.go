@@ -32,9 +32,9 @@ func TestExecuteHookIsTransparent(t *testing.T) {
 	var calls atomic.Int64
 	got, err := Run(c, Options{
 		Parallelism: 2,
-		Execute: func(ctx context.Context, spec *scenario.Spec, parallelism int) (*scenario.Outcome, error) {
+		Execute: func(spec *scenario.Spec, opt scenario.Options) (*scenario.Outcome, error) {
 			calls.Add(1)
-			return scenario.Run(spec, scenario.Options{Parallelism: parallelism, Ctx: ctx})
+			return scenario.Run(spec, opt)
 		},
 	})
 	if err != nil {

@@ -412,6 +412,19 @@ func ForEach(n, workers int, newJob func() func(i int) error) error {
 	return nil
 }
 
+// ForEachSplit runs job(i, inner) for every i in [0, n) on ForEach and
+// splits a worker budget between the two levels: up to min(workers, n)
+// jobs run at once, and each gets inner = workers / that as its own fan-out,
+// so the product never exceeds the budget. Scenario rows × trials and
+// campaign scenarios × rows both split this way.
+func ForEachSplit(n, workers int, job func(i, inner int) error) error {
+	workers = max(workers, 1)
+	inner := max(workers/max(min(workers, n), 1), 1)
+	return ForEach(n, workers, func() func(int) error {
+		return func(i int) error { return job(i, inner) }
+	})
+}
+
 // MergeTrials aggregates complete trial outcomes (trial order, covering the
 // whole run) into a Report. The float accumulation order is fixed by the
 // slice order, so any partition of a trial set into MeasureRange chunks —

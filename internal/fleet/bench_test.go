@@ -34,7 +34,7 @@ func BenchmarkFleetMergeChunks(b *testing.B) {
 		if hi > norm.Trials {
 			hi = norm.Trials
 		}
-		ch, err := scenario.RunChunk(&benchSpec, 0, lo, hi, scenario.ChunkOptions{Parallelism: 4})
+		ch, err := scenario.RunChunk(&benchSpec, 0, lo, hi, scenario.Options{Parallelism: 4})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -5,40 +5,34 @@ import (
 	"time"
 )
 
-// Breaker default parameters.
+// Breaker parameters: DefaultBreakerThreshold consecutive failures open
+// it for DefaultBreakerCooldown.
 const (
 	DefaultBreakerThreshold = 5
 	DefaultBreakerCooldown  = 30 * time.Second
 )
 
 // Breaker is a circuit breaker over fleet dispatch. Closed: requests flow.
-// After threshold consecutive failures it opens: Allow() refuses — callers
-// go straight to local execution — for the cooldown window, so a dead fleet
-// costs one failure burst, not a probe (queue wait, retry budget, timeout)
-// per request. After the cooldown it half-opens: exactly one caller probes
-// the fleet; its success closes the breaker, its failure re-opens it.
+// After DefaultBreakerThreshold consecutive failures it opens: Allow()
+// refuses — callers go straight to local execution — for
+// DefaultBreakerCooldown, so a dead fleet costs one failure burst, not a
+// probe (queue wait, retry budget, timeout) per request. After the
+// cooldown it half-opens: exactly one caller probes the fleet; its success
+// closes the breaker, its failure re-opens it.
 type Breaker struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	failures  int
-	openedAt  time.Time
-	state     string // "closed" | "open" | "half-open"
-	probing   bool
-	trips     int64
+	mu       sync.Mutex
+	failures int
+	openedAt time.Time
+	state    string // "closed" | "open" | "half-open"
+	probing  bool
+	trips    int64
 
 	now func() time.Time // test hook
 }
 
-// NewBreaker returns a closed breaker; zero arguments select the defaults.
-func NewBreaker(threshold int, cooldown time.Duration) *Breaker {
-	if threshold < 1 {
-		threshold = DefaultBreakerThreshold
-	}
-	if cooldown <= 0 {
-		cooldown = DefaultBreakerCooldown
-	}
-	return &Breaker{threshold: threshold, cooldown: cooldown, state: "closed", now: time.Now}
+// NewBreaker returns a closed breaker.
+func NewBreaker() *Breaker {
+	return &Breaker{state: "closed", now: time.Now}
 }
 
 // Allow reports whether a fleet dispatch may proceed. In the half-open
@@ -51,7 +45,7 @@ func (b *Breaker) Allow() bool {
 	case "closed":
 		return true
 	case "open":
-		if b.now().Sub(b.openedAt) < b.cooldown {
+		if b.now().Sub(b.openedAt) < DefaultBreakerCooldown {
 			return false
 		}
 		b.state = "half-open"
@@ -77,14 +71,14 @@ func (b *Breaker) Success() {
 }
 
 // Failure reports an ErrUnavailable dispatch. A half-open probe failure
-// re-opens immediately; a closed-state streak of threshold failures trips
-// the breaker.
+// re-opens immediately; a closed-state streak of DefaultBreakerThreshold
+// failures trips the breaker.
 func (b *Breaker) Failure() {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.failures++
 	b.probing = false
-	if b.state == "half-open" || b.failures >= b.threshold {
+	if b.state == "half-open" || b.failures >= DefaultBreakerThreshold {
 		if b.state != "open" {
 			b.trips++
 		}
@@ -98,7 +92,7 @@ func (b *Breaker) Failure() {
 func (b *Breaker) State() string {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if b.state == "open" && b.now().Sub(b.openedAt) >= b.cooldown {
+	if b.state == "open" && b.now().Sub(b.openedAt) >= DefaultBreakerCooldown {
 		return "half-open" // cooldown elapsed; next Allow() probes
 	}
 	return b.state

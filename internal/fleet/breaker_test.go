@@ -10,22 +10,25 @@ import (
 // and the probe's outcome decides between closing and re-opening.
 func TestBreakerLifecycle(t *testing.T) {
 	now := time.Unix(0, 0)
-	b := NewBreaker(3, 10*time.Second)
+	b := NewBreaker()
 	b.now = func() time.Time { return now }
+	cooldown := DefaultBreakerCooldown + time.Second
 
 	if b.State() != "closed" || !b.Allow() {
 		t.Fatalf("new breaker: state %q, want closed+allowing", b.State())
 	}
 	// A streak below threshold keeps it closed; a success clears the streak.
-	b.Failure()
-	b.Failure()
+	for i := 1; i < DefaultBreakerThreshold; i++ {
+		b.Failure()
+	}
 	b.Success()
-	b.Failure()
-	b.Failure()
+	for i := 1; i < DefaultBreakerThreshold; i++ {
+		b.Failure()
+	}
 	if b.State() != "closed" {
 		t.Fatalf("state %q after interrupted streak, want closed", b.State())
 	}
-	b.Failure() // third consecutive: trips
+	b.Failure() // threshold-th consecutive: trips
 	if b.State() != "open" || b.Trips() != 1 {
 		t.Fatalf("state %q trips %d after threshold streak, want open/1", b.State(), b.Trips())
 	}
@@ -33,7 +36,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatal("open breaker allowed a dispatch inside the cooldown")
 	}
 	// Cooldown elapses: half-open, one probe only.
-	now = now.Add(11 * time.Second)
+	now = now.Add(cooldown)
 	if b.State() != "half-open" {
 		t.Fatalf("state %q after cooldown, want half-open", b.State())
 	}
@@ -49,7 +52,7 @@ func TestBreakerLifecycle(t *testing.T) {
 		t.Fatalf("state %q trips %d after failed probe, want open/2 refusing", b.State(), b.Trips())
 	}
 	// Next cooldown's probe succeeds: closed, requests flow.
-	now = now.Add(11 * time.Second)
+	now = now.Add(cooldown)
 	if !b.Allow() {
 		t.Fatal("second probe refused")
 	}

@@ -37,8 +37,11 @@ const (
 	DefaultStealAfter       = 3 * time.Second
 	DefaultPollInterval     = 200 * time.Millisecond
 	DefaultQueueCap         = 4096
-	DefaultMaxRetries       = 3
 )
+
+// DefaultMaxRetries bounds how often a chunk may be lost to worker failure
+// before its run fails with ErrUnavailable.
+const DefaultMaxRetries = 3
 
 // maxChunkLeases bounds concurrent duplicate executions of one chunk: the
 // original lease plus one stolen copy. More copies waste workers without
@@ -69,9 +72,6 @@ type Config struct {
 	// QueueCap bounds pending (unleased) chunks across all runs; runs that
 	// would overflow it fail fast with ErrBusy.
 	QueueCap int
-	// MaxRetries bounds how often a chunk may be lost to worker failure
-	// before its run fails with ErrUnavailable.
-	MaxRetries int
 	// Store, if non-nil, caches completed chunks under scenario.ChunkKey:
 	// a re-run after a crash only re-executes the chunks it lost.
 	Store *resultstore.Store
@@ -117,13 +117,6 @@ func (c Config) queueCap() int {
 		return c.QueueCap
 	}
 	return DefaultQueueCap
-}
-
-func (c Config) maxRetries() int {
-	if c.MaxRetries > 0 {
-		return c.MaxRetries
-	}
-	return DefaultMaxRetries
 }
 
 // workerState tracks one registered worker.
@@ -352,7 +345,7 @@ func (c *Coordinator) requeueLocked(t *task) {
 		return
 	}
 	t.retries++
-	if t.retries > c.cfg.maxRetries() {
+	if t.retries > DefaultMaxRetries {
 		delete(c.tasks, t.id)
 		t.run.span.Event("chunk.lost", obs.A("chunk", t.id), obs.A("row", t.job.Row), obs.A("retries", t.retries))
 		c.failRunLocked(t.run, fmt.Errorf("%w: chunk row %d trials [%d, %d) lost %d times",
@@ -540,9 +533,7 @@ func (c *Coordinator) complete(req *completeRequest) completeResponse {
 		return completeResponse{}
 	}
 	if req.Error == "" {
-		ch := req.Chunk
-		if ch == nil || ch.Row != t.job.Row || ch.TrialLo != t.job.TrialLo || ch.TrialHi != t.job.TrialHi ||
-			len(ch.Trials) != ch.TrialHi-ch.TrialLo {
+		if err := req.Chunk.Check(t.job.Row, t.job.TrialLo, t.job.TrialHi); err != nil {
 			// The result must not poison the merge, but a rogue worker is
 			// not a deterministic execution error either — another worker
 			// would derive the right bytes. Drop this worker's lease and
@@ -551,8 +542,7 @@ func (c *Coordinator) complete(req *completeRequest) completeResponse {
 			// which callers answer with local fallback.
 			c.failed.Add(1)
 			t.run.span.Event("chunk.mismatch", obs.A("chunk", t.id), obs.A("worker", req.WorkerID))
-			c.logf("fleet: worker %s returned mismatched chunk for %s (row %d trials [%d, %d)); requeueing",
-				req.WorkerID, t.id, t.job.Row, t.job.TrialLo, t.job.TrialHi)
+			c.logf("fleet: worker %s returned mismatched chunk for %s (%v); requeueing", req.WorkerID, t.id, err)
 			delete(t.leases, req.WorkerID)
 			if w := c.workers[req.WorkerID]; w != nil {
 				delete(w.active, t.id)
@@ -649,9 +639,7 @@ func (c *Coordinator) RunScenario(ctx context.Context, spec *scenario.Spec) (*sc
 				gs.End(obs.A("hit", ok))
 				if ok {
 					var ch scenario.Chunk
-					if err := json.Unmarshal(data, &ch); err == nil &&
-						ch.Row == row && ch.TrialLo == lo && ch.TrialHi == hi &&
-						len(ch.Trials) == hi-lo {
+					if json.Unmarshal(data, &ch) == nil && ch.Check(row, lo, hi) == nil {
 						r.chunks = append(r.chunks, &ch)
 						c.cached.Add(1)
 						runSpan.Event("chunk.cached",
@@ -660,9 +648,9 @@ func (c *Coordinator) RunScenario(ctx context.Context, spec *scenario.Spec) (*sc
 					}
 					// A corrupt or truncated partial falls through to a
 					// fresh execution, whose write-through replaces the bad
-					// entry — the same checks complete() applies to worker
-					// uploads apply here, or a parseable-but-short cache
-					// file would fail every future merge of this spec.
+					// entry — the same check complete() applies to worker
+					// uploads applies here, or a parseable-but-malformed
+					// cache file would fail every future merge of this spec.
 				}
 			}
 			tasks = append(tasks, &task{
@@ -753,22 +741,28 @@ func (c *Coordinator) mergeRun(n *scenario.Spec, r *run) (*scenario.Outcome, err
 }
 
 // Execute runs the spec across the fleet when workers are attached,
-// falling back to local execution otherwise and on any ErrUnavailable —
-// byte-identity makes the fallback invisible. Its signature matches
-// campaign.Options.Execute (pinned by a compile-time assertion in the
-// tests; fleet must not import campaign), so a coordinator plugs straight
-// into campaign.Run: every scenario of the campaign then draws on this
-// coordinator's single chunk queue — one shared fleet budget — as
-// cmd/avgcampaign's -fleet-listen mode does.
-func (c *Coordinator) Execute(ctx context.Context, spec *scenario.Spec, parallelism int) (*scenario.Outcome, error) {
+// falling back to scenario.Run with the caller's options otherwise and on
+// any ErrUnavailable — byte-identity makes the fallback invisible, and the
+// fallback fetches graphs through opt.Graphs like any local run. It has
+// scenario.Run's signature, which campaign.Options.Execute takes (pinned
+// by a compile-time assertion in the tests; fleet must not import
+// campaign), so a coordinator plugs straight into campaign.Run: every
+// scenario of the campaign then draws on this coordinator's single chunk
+// queue — one shared fleet budget — as cmd/avgcampaign's -fleet-listen
+// mode does.
+func (c *Coordinator) Execute(spec *scenario.Spec, opt scenario.Options) (*scenario.Outcome, error) {
 	if c.Workers() > 0 {
+		ctx := opt.Ctx
+		if ctx == nil {
+			ctx = context.Background()
+		}
 		out, err := c.RunScenario(ctx, spec)
 		if err == nil || !errors.Is(err, ErrUnavailable) {
 			return out, err
 		}
 		c.logf("fleet: unavailable (%v), running locally", err)
 	}
-	return scenario.Run(spec, scenario.Options{Parallelism: parallelism, Ctx: ctx})
+	return scenario.Run(spec, opt)
 }
 
 // Handler returns the coordinator's HTTP surface, rooted at /fleet/v1/.

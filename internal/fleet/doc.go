@@ -25,9 +25,16 @@
 // result store under scenario.ChunkKey when one is configured, so a re-run
 // after a coordinator or worker crash only re-executes the lost chunks.
 //
+// An upload that fails scenario.Chunk.Check against its lease — wrong
+// identity or trial count, or a trial whose node or edge array disagrees
+// with the chunk's Meta — is refused and requeued like a lost lease; it
+// never reaches the merge. FuzzCompleteUpload fuzzes that path.
+//
 // Infrastructure failures (no workers attached, a chunk lost beyond the
-// retry budget) are reported as ErrUnavailable, distinct from
+// DefaultMaxRetries budget) are reported as ErrUnavailable, distinct from
 // deterministic execution errors: callers such as cmd/avgserve fall back
 // to local execution on ErrUnavailable, which byte-identity makes
-// transparent to clients.
+// transparent to clients. Coordinator.Execute has scenario.Run's
+// signature and is that fallback for campaigns: it calls scenario.Run
+// with the caller's options, graph store included.
 package fleet

@@ -2,11 +2,12 @@ package fleet
 
 import (
 	"bytes"
-	"context"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"avgloc/internal/campaign"
+	"avgloc/internal/graphstore"
 	"avgloc/internal/scenario"
 )
 
@@ -23,7 +24,7 @@ func TestExecuteFallsBackLocally(t *testing.T) {
 	spec := scenario.Spec{Graph: "cycle", Params: map[string]float64{"n": 24}, Algorithm: "mis/luby", Trials: 3, Seed: 8}
 	want := localBytes(t, &spec)
 	c := NewCoordinator(fastConfig())
-	out, err := c.Execute(context.Background(), &spec, 2)
+	out, err := c.Execute(&spec, scenario.Options{Parallelism: 2})
 	if err != nil {
 		t.Fatalf("Execute without workers: %v", err)
 	}
@@ -33,6 +34,35 @@ func TestExecuteFallsBackLocally(t *testing.T) {
 	}
 	if st := c.Stats(); st.ChunksDispatched != 0 {
 		t.Fatalf("workerless Execute dispatched chunks: %+v", st)
+	}
+}
+
+// TestExecuteFallbackUsesCallerGraphs: the local fallback fetches graphs
+// through the caller's store, so avgcampaign -fleet-listen with no worker
+// attached still writes -graph-cache-dir artifacts, one per row.
+func TestExecuteFallbackUsesCallerGraphs(t *testing.T) {
+	spec := scenario.Spec{Graph: "cycle", Algorithm: "mis/luby", Trials: 2, Seed: 8,
+		Sweep: &scenario.Sweep{Param: "n", Values: []float64{24, 32}}}
+	dir := t.TempDir()
+	graphs, err := graphstore.New(0, dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewCoordinator(fastConfig())
+	out, err := c.Execute(&spec, scenario.Options{Parallelism: 2, Graphs: graphs})
+	if err != nil {
+		t.Fatalf("Execute without workers: %v", err)
+	}
+	got, _ := out.MarshalStable()
+	if !bytes.Equal(got, localBytes(t, &spec)) {
+		t.Fatal("workerless Execute differs from scenario.Run")
+	}
+	files, err := filepath.Glob(filepath.Join(dir, "*.csr"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(files) != 2 {
+		t.Fatalf("caller's graph store holds %d artifacts, want 2 (one per row): %v", len(files), files)
 	}
 }
 
@@ -52,7 +82,7 @@ func TestExecuteUsesFleetWhenWorkersAttached(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	out, err := c.Execute(context.Background(), &spec, 2)
+	out, err := c.Execute(&spec, scenario.Options{Parallelism: 2})
 	if err != nil {
 		t.Fatalf("Execute with workers: %v", err)
 	}

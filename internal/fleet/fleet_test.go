@@ -280,62 +280,58 @@ func TestExecutionErrorFailsRun(t *testing.T) {
 }
 
 // TestMismatchedChunkRequeues: a completion whose payload does not match
-// its lease must not poison the merge — the chunk requeues. A healthy
-// worker then finishes the run with bytes identical to local; a fleet
-// that stays confused exhausts the retry budget into ErrUnavailable (the
-// local-fallback signal), never a deterministic-looking failure.
+// its lease — a wrong trial range, or a trial array longer than the graph,
+// which used to panic in the merge — must not poison the merge: the chunk
+// requeues. A healthy worker then finishes the run with bytes identical to
+// local; a fleet that stays confused exhausts the retry budget into
+// ErrUnavailable (the local-fallback signal), never a
+// deterministic-looking failure.
 func TestMismatchedChunkRequeues(t *testing.T) {
 	want := localBytes(t, &fleetSpec)
-	c := NewCoordinator(fastConfig())
-	ts := httptest.NewServer(c.Handler())
-	defer ts.Close()
-	confused := c.register("confused")
-	done := make(chan error, 1)
-	var out *scenario.Outcome
-	go func() {
-		var err error
-		out, err = c.RunScenario(context.Background(), &fleetSpec)
-		done <- err
-	}()
-	// The confused worker grabs one chunk and returns garbage for it.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		if time.Now().After(deadline) {
-			t.Fatal("never leased a chunk")
-		}
-		job, ok := c.poll(confused.WorkerID)
-		if !ok {
-			t.Fatal("worker deregistered")
-		}
-		if job != nil {
-			wrong, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, scenario.ChunkOptions{Parallelism: 1})
-			if err != nil {
-				t.Fatalf("RunChunk: %v", err)
-			}
-			wrong.TrialHi++ // no longer matches the lease
-			c.complete(&completeRequest{WorkerID: confused.WorkerID, ChunkID: job.ID, Chunk: wrong})
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
+	mismatches := map[string]func(*scenario.Chunk) *scenario.Chunk{
+		"trial range":     func(ch *scenario.Chunk) *scenario.Chunk { ch.TrialHi++; return ch },
+		"over-long trial": overlong,
 	}
-	// A healthy worker joins and must complete the run, including the
-	// requeued chunk, byte-identically.
-	stop := startWorkers(t, ts.URL, 1)
-	defer stop()
-	select {
-	case err := <-done:
+	for name, mismatch := range mismatches {
+		c := NewCoordinator(fastConfig())
+		ts := httptest.NewServer(c.Handler())
+		confused := c.register("confused")
+		done := make(chan error, 1)
+		var out *scenario.Outcome
+		go func() {
+			var err error
+			out, err = c.RunScenario(context.Background(), &fleetSpec)
+			done <- err
+		}()
+		// The confused worker grabs one chunk and returns garbage for it.
+		job := leaseOne(t, c, confused.WorkerID)
+		ch, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, scenario.Options{Parallelism: 1})
 		if err != nil {
-			t.Fatalf("run did not recover from a mismatched chunk: %v", err)
+			t.Fatalf("RunChunk: %v", err)
 		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("run hung after mismatched chunk")
-	}
-	got, _ := out.MarshalStable()
-	if !bytes.Equal(got, want) {
-		t.Fatal("post-mismatch bytes differ from local bytes")
-	}
-	if st := c.Stats(); st.ChunksFailed == 0 {
-		t.Fatalf("mismatch not counted: %+v", st)
+		if c.complete(&completeRequest{WorkerID: confused.WorkerID, ChunkID: job.ID, Chunk: mismatch(ch)}).Accepted {
+			t.Fatalf("%s: mismatched chunk accepted", name)
+		}
+		// A healthy worker joins and must complete the run, including the
+		// requeued chunk, byte-identically.
+		stop := startWorkers(t, ts.URL, 1)
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("%s: run did not recover from a mismatched chunk: %v", name, err)
+			}
+		case <-time.After(30 * time.Second):
+			t.Fatalf("%s: run hung after mismatched chunk", name)
+		}
+		stop()
+		ts.Close()
+		got, _ := out.MarshalStable()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: post-mismatch bytes differ from local bytes", name)
+		}
+		if st := c.Stats(); st.ChunksFailed == 0 {
+			t.Fatalf("%s: mismatch not counted: %+v", name, st)
+		}
 	}
 }
 
@@ -435,7 +431,7 @@ func TestLongChunkHeartbeatKeepsLease(t *testing.T) {
 		t.Fatalf("heartbeating chunk was retried/stolen: %+v", st)
 	}
 
-	ch, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, scenario.ChunkOptions{Parallelism: 1})
+	ch, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, scenario.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("RunChunk: %v", err)
 	}
@@ -484,7 +480,7 @@ func TestDuplicateCompleteIgnored(t *testing.T) {
 		job = j
 		time.Sleep(2 * time.Millisecond)
 	}
-	ch, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, scenario.ChunkOptions{Parallelism: 1})
+	ch, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, scenario.Options{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("RunChunk: %v", err)
 	}

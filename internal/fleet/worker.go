@@ -247,7 +247,7 @@ func (w *Worker) executeAndReport(ctx context.Context, workerID string, job *Chu
 	start := time.Now()
 	execSpan := w.Trace.Span(nil, "chunk.execute", obs.A("chunk", job.ID),
 		obs.A("worker", workerID), obs.A("row", job.Row), obs.A("lo", job.TrialLo), obs.A("hi", job.TrialHi))
-	chunk, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, scenario.ChunkOptions{
+	chunk, err := scenario.RunChunk(&job.Spec, job.Row, job.TrialLo, job.TrialHi, scenario.Options{
 		Parallelism: par,
 		Graphs:      w.Graphs,
 		// The execute span parents graph.build/graph.load, so the worker's

@@ -65,7 +65,7 @@ func TestMergeChunksMatchesRun(t *testing.T) {
 				var chunks []*Chunk
 				for row := 0; row < norm.Rows(); row++ {
 					for _, cut := range randomPartition(rng, norm.Trials) {
-						ch, err := RunChunk(&spec, row, cut[0], cut[1], ChunkOptions{Parallelism: 1 + rng.IntN(3)})
+						ch, err := RunChunk(&spec, row, cut[0], cut[1], Options{Parallelism: 1 + rng.IntN(3)})
 						if err != nil {
 							t.Fatalf("RunChunk(row=%d, [%d,%d)): %v", row, cut[0], cut[1], err)
 						}
@@ -110,7 +110,7 @@ func TestMergeChunksJSONRoundTrip(t *testing.T) {
 		if hi > norm.Trials {
 			hi = norm.Trials
 		}
-		ch, err := RunChunk(&spec, 0, lo, hi, ChunkOptions{Parallelism: 1})
+		ch, err := RunChunk(&spec, 0, lo, hi, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("RunChunk: %v", err)
 		}
@@ -135,15 +135,17 @@ func TestMergeChunksJSONRoundTrip(t *testing.T) {
 }
 
 // TestMergeChunksRejectsBadCovers locks in the refusal paths: gaps,
-// overlaps, missing rows and disagreeing metadata must error instead of
-// producing a plausible-looking wrong report.
+// overlaps, missing rows, disagreeing metadata and trial arrays whose
+// length disagrees with the metadata must error instead of producing a
+// plausible-looking wrong report. (An over-long array used to index past
+// the aggregator's per-node sums and panic.)
 func TestMergeChunksRejectsBadCovers(t *testing.T) {
 	spec := Spec{Graph: "cycle", Params: map[string]float64{"n": 24}, Algorithm: "mis/luby", Trials: 4, Seed: 2}
-	full, err := RunChunk(&spec, 0, 0, 4, ChunkOptions{Parallelism: 1})
+	full, err := RunChunk(&spec, 0, 0, 4, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("RunChunk: %v", err)
 	}
-	head, err := RunChunk(&spec, 0, 0, 2, ChunkOptions{Parallelism: 1})
+	head, err := RunChunk(&spec, 0, 0, 2, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("RunChunk: %v", err)
 	}
@@ -156,6 +158,11 @@ func TestMergeChunksRejectsBadCovers(t *testing.T) {
 		{"empty", nil},
 		{"bad row", []*Chunk{{Row: 3, TrialLo: 0, TrialHi: 4, Trials: full.Trials, Meta: full.Meta}}},
 		{"trial count mismatch", []*Chunk{{Row: 0, TrialLo: 0, TrialHi: 4, Trials: head.Trials, Meta: full.Meta}}},
+		{"nil chunk", []*Chunk{nil}},
+		{"node times too long", []*Chunk{withTrial(full, func(o *core.TrialOutcome) { o.Node = append(o.Node, 1) })}},
+		{"node times too short", []*Chunk{withTrial(full, func(o *core.TrialOutcome) { o.Node = o.Node[1:] })}},
+		{"edge times too long", []*Chunk{withTrial(full, func(o *core.TrialOutcome) { o.Edge = append(o.Edge, 1) })}},
+		{"edge times missing", []*Chunk{withTrial(full, func(o *core.TrialOutcome) { o.Edge = nil })}},
 	}
 	for _, tc := range cases {
 		if _, err := MergeChunks(&spec, tc.chunks); err == nil {
@@ -163,7 +170,7 @@ func TestMergeChunksRejectsBadCovers(t *testing.T) {
 		}
 	}
 	// Metadata disagreement between chunks of one row.
-	tail, err := RunChunk(&spec, 0, 2, 4, ChunkOptions{Parallelism: 1})
+	tail, err := RunChunk(&spec, 0, 2, 4, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("RunChunk: %v", err)
 	}
@@ -174,18 +181,29 @@ func TestMergeChunksRejectsBadCovers(t *testing.T) {
 	}
 }
 
+// withTrial returns a copy of ch whose last trial is mutated by f.
+func withTrial(ch *Chunk, f func(*core.TrialOutcome)) *Chunk {
+	c := *ch
+	c.Trials = append([]core.TrialOutcome(nil), ch.Trials...)
+	last := &c.Trials[len(c.Trials)-1]
+	last.Node = append([]int32(nil), last.Node...)
+	last.Edge = append([]int32(nil), last.Edge...)
+	f(last)
+	return &c
+}
+
 // TestMeasureRangeMatchesMeasure pins the core-level identity the chunk
 // machinery is built on: Measure == MergeTrials(MeasureRange(0, trials)),
 // and a split range concatenates to the full one.
 func TestMeasureRangeMatchesMeasure(t *testing.T) {
 	spec := Spec{Graph: "regular", Params: map[string]float64{"n": 24, "d": 3}, Algorithm: "mis/luby", Trials: 6, Seed: 4}
-	full, err := RunChunk(&spec, 0, 0, 6, ChunkOptions{Parallelism: 1})
+	full, err := RunChunk(&spec, 0, 0, 6, Options{Parallelism: 1})
 	if err != nil {
 		t.Fatalf("RunChunk full: %v", err)
 	}
 	var split []core.TrialOutcome
 	for _, cut := range [][2]int{{0, 1}, {1, 4}, {4, 6}} {
-		ch, err := RunChunk(&spec, 0, cut[0], cut[1], ChunkOptions{Parallelism: 2})
+		ch, err := RunChunk(&spec, 0, cut[0], cut[1], Options{Parallelism: 2})
 		if err != nil {
 			t.Fatalf("RunChunk [%d,%d): %v", cut[0], cut[1], err)
 		}

@@ -1,6 +1,6 @@
 // Package scenario turns a declarative JSON description of a measurement
 // workload — graph family + parameters, algorithm, trial count, seed and an
-// optional sweep axis — into executed core.Measure reports. A Spec has a
+// optional sweep axis — into measured core.Report rows. A Spec has a
 // canonical content hash that is independent of JSON field ordering and of
 // the seed, so (hash, seed) identifies a run's full output and serves as
 // the result-cache key used by internal/resultstore and cmd/avgserve.
@@ -275,22 +275,6 @@ func rowSeed(seed uint64, row int) uint64 {
 	return seedmix.Derive(seed, rowSeedDomain, row)
 }
 
-// runRows executes n row jobs on up to `workers` concurrent workers
-// (core.ForEach), handing each job the leftover worker budget as its
-// measurement parallelism. The caller merges in row order and stops at the
-// first error; the returned error is the lowest-indexed one, independent of
-// scheduling.
-func runRows(n, workers int, job func(row, measurePar int) error) error {
-	workers = max(workers, 1)
-	measurePar := 1
-	if rowWorkers := min(workers, n); rowWorkers > 0 {
-		measurePar = max(workers/rowWorkers, 1)
-	}
-	return core.ForEach(n, workers, func() func(int) error {
-		return func(row int) error { return job(row, measurePar) }
-	})
-}
-
 // Run executes the scenario: each row builds its graph from a row-derived
 // seed stream and measures under a row-derived measurement seed, rows run
 // concurrently under the Options.Parallelism worker budget, and results
@@ -305,49 +289,30 @@ func Run(s *Spec, opt Options) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	entry, err := registry.FindAlgorithm(n.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	graphs := opt.Graphs
-	if graphs == nil {
-		graphs = graphstore.Shared()
-	}
-	rowParams := rowParamsOf(n)
-	rows := make([]Row, len(rowParams))
+	rows := make([]Row, n.Rows())
 	// Tracing brackets rows, never trials: the hot measurement loop in
-	// core.Measure is untouched, and a nil span (tracing off) makes every
-	// call below a no-op.
+	// core.MeasureRange is untouched, and a nil span (tracing off) makes
+	// every call below a no-op.
 	runSpan := obs.FromCtx(opt.Ctx).Span("scenario.run",
-		obs.A("hash", hash), obs.A("rows", len(rowParams)), obs.A("trials", n.Trials))
-	err = runRows(len(rowParams), opt.Parallelism, func(i, measurePar int) error {
+		obs.A("hash", hash), obs.A("rows", len(rows)), obs.A("trials", n.Trials))
+	err = core.ForEachSplit(len(rows), opt.Parallelism, func(i, measurePar int) error {
 		if opt.Ctx != nil && opt.Ctx.Err() != nil {
 			return opt.Ctx.Err()
 		}
 		rowSpan := runSpan.Span("scenario.row", obs.A("row", i), obs.A("parallelism", measurePar))
-		// Each row fetches its graph from the store under its row-derived
-		// seed pair, so the graph is identical at every parallelism level
-		// and rows across specs, batches and campaigns share one build.
-		s1, s2 := graphSeeds(n.Seed, i)
-		g, err := graphs.Get(obs.With(opt.Ctx, rowSpan), n.Graph, rowParams[i], s1, s2)
+		rowOpt := opt
+		rowOpt.Ctx, rowOpt.Parallelism = obs.With(opt.Ctx, rowSpan), measurePar
+		// The row is one chunk covering every trial, merged inside this
+		// worker, so no row's per-trial outcomes outlive the row.
+		c, err := measureRow(n, i, 0, n.Trials, rowOpt)
+		if err == nil {
+			rows[i], err = n.mergeRow(i, []*Chunk{c})
+		}
 		if err != nil {
-			err = fmt.Errorf("scenario: row %d: %w", i, err)
 			rowSpan.End(obs.A("error", err.Error()))
 			return err
 		}
-		runner, problem := entry.New()
-		rep, err := core.Measure(g, problem, runner, core.MeasureOptions{
-			Trials:      n.Trials,
-			Seed:        rowSeed(n.Seed, i),
-			Parallelism: measurePar,
-		})
-		if err != nil {
-			err = fmt.Errorf("scenario: row %d (%s on %s): %w", i, n.Algorithm, g, err)
-			rowSpan.End(obs.A("error", err.Error()))
-			return err
-		}
-		rows[i] = Row{Params: rowParams[i], Nodes: g.N(), Edges: g.M(), Report: rep}
-		rowSpan.End(obs.A("nodes", g.N()), obs.A("edges", g.M()))
+		rowSpan.End(obs.A("nodes", rows[i].Nodes), obs.A("edges", rows[i].Edges))
 		return nil
 	})
 	if err != nil {
@@ -358,19 +323,46 @@ func Run(s *Spec, opt Options) (*Outcome, error) {
 	return &Outcome{Spec: n, Hash: hash, Rows: rows}, nil
 }
 
-// rowParamsOf expands a normalized spec into one effective parameter set
-// per report row (sweep order; the base params without a sweep).
-func rowParamsOf(n *Spec) []registry.Values {
+// rowParams returns the effective graph parameters of report row i of a
+// normalized spec: the base params, with the sweep value set.
+func (n *Spec) rowParams(i int) registry.Values {
 	if n.Sweep == nil {
-		return []registry.Values{n.Params}
+		return n.Params
 	}
-	out := make([]registry.Values, 0, len(n.Sweep.Values))
-	for _, x := range n.Sweep.Values {
-		v := n.Params.Clone()
-		v[n.Sweep.Param] = x
-		out = append(out, v)
+	v := n.Params.Clone()
+	v[n.Sweep.Param] = n.Sweep.Values[i]
+	return v
+}
+
+// measureRow is the one place a row is measured: trials [lo, hi) of row
+// `row` of the normalized spec n. It fetches the row's graph from the
+// store under graphSeeds — so rows across specs, batches, campaigns and
+// fleet workers share one build — and measures under rowSeed.
+// opt.Parallelism fans the trials out; opt.Ctx parents the graph.build and
+// graph.load spans.
+func measureRow(n *Spec, row, lo, hi int, opt Options) (*Chunk, error) {
+	entry, err := registry.FindAlgorithm(n.Algorithm)
+	if err != nil {
+		return nil, err
 	}
-	return out
+	graphs := opt.Graphs
+	if graphs == nil {
+		graphs = graphstore.Shared()
+	}
+	s1, s2 := graphSeeds(n.Seed, row)
+	g, err := graphs.Get(opt.Ctx, n.Graph, n.rowParams(row), s1, s2)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: row %d: %w", row, err)
+	}
+	runner, problem := entry.New()
+	outs, err := core.MeasureRange(g, problem, runner, core.MeasureOptions{
+		Seed:        rowSeed(n.Seed, row),
+		Parallelism: opt.Parallelism,
+	}, lo, hi)
+	if err != nil {
+		return nil, fmt.Errorf("scenario: row %d (%s on %s): %w", row, n.Algorithm, g, err)
+	}
+	return &Chunk{Row: row, TrialLo: lo, TrialHi: hi, Meta: core.Meta(g, problem, runner), Trials: outs}, nil
 }
 
 // Chunk is the unit of distributed scenario execution: the per-trial
@@ -388,67 +380,52 @@ type Chunk struct {
 	Trials  []core.TrialOutcome `json:"trials"`
 }
 
-// ChunkOptions configures RunChunk.
-type ChunkOptions struct {
-	// Parallelism fans the chunk's trials out locally
-	// (outcome-indistinguishable from sequential).
-	Parallelism int
-	// Graphs is the store the chunk's graph is fetched through; nil selects
-	// graphstore.Shared(). A fleet worker passes its persistent store here,
-	// so a 64-chunk row builds its graph once per process, not 64 times.
-	Graphs *graphstore.Store
-	// Ctx carries the trace span parent for graph.build / graph.load spans
-	// (obs.FromCtx); a nil Ctx just disables them.
-	Ctx context.Context
+// Check reports whether c is a well-formed result of trials [lo, hi) of
+// row `row`: its identity matches, the range is non-empty, it carries
+// hi-lo trials, and every trial's node and edge arrays have the sizes its
+// Meta declares. Chunks arrive from workers and from disk; an over-long
+// array would crash the merge and a short one would skew the averages.
+func (c *Chunk) Check(row, lo, hi int) error {
+	if c == nil {
+		return errors.New("scenario: missing chunk")
+	}
+	if c.Row != row || c.TrialLo != lo || c.TrialHi != hi {
+		return fmt.Errorf("scenario: chunk row %d trials [%d, %d), want row %d trials [%d, %d)", c.Row, c.TrialLo, c.TrialHi, row, lo, hi)
+	}
+	if lo < 0 || hi <= lo {
+		return fmt.Errorf("scenario: row %d chunk trials [%d, %d) empty or negative", row, lo, hi)
+	}
+	if len(c.Trials) != hi-lo {
+		return fmt.Errorf("scenario: row %d chunk [%d, %d) carries %d trials", row, lo, hi, len(c.Trials))
+	}
+	for i, o := range c.Trials {
+		if len(o.Node) != c.Meta.Nodes || len(o.Edge) != c.Meta.Edges {
+			return fmt.Errorf("scenario: row %d trial %d has %d node and %d edge times, want %d and %d",
+				row, lo+i, len(o.Node), len(o.Edge), c.Meta.Nodes, c.Meta.Edges)
+		}
+	}
+	return nil
 }
 
-// RunChunk executes trials [lo, hi) of sweep row `row` of the scenario.
-// The row's graph is fetched from the graph store under the row-derived
-// seed pair (built from the generator stream on a cold store) and the
-// trials use the same absolute-index seed derivations as Run, so a chunk's
-// outcomes are a pure function of (normalized spec, seed, row, trial) —
-// independent of which process runs it, and of whether the store served
-// the graph from memory, disk, or a fresh build.
-func RunChunk(s *Spec, row, lo, hi int, opt ChunkOptions) (*Chunk, error) {
+// RunChunk executes trials [lo, hi) of sweep row `row` of the scenario
+// through the same row measurement as Run, so a chunk's outcomes are a
+// pure function of (normalized spec, seed, row, trial) — independent of
+// which process runs it, and of whether the store served the graph from
+// memory, disk, or a fresh build. A fleet worker passes its persistent
+// store in opt.Graphs, so a 64-chunk row builds its graph once per
+// process; opt.Ctx only parents trace spans here.
+func RunChunk(s *Spec, row, lo, hi int, opt Options) (*Chunk, error) {
 	n, err := s.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	rowParams := rowParamsOf(n)
-	if row < 0 || row >= len(rowParams) {
-		return nil, fmt.Errorf("scenario: chunk row %d out of range [0, %d)", row, len(rowParams))
+	if row < 0 || row >= n.Rows() {
+		return nil, fmt.Errorf("scenario: chunk row %d out of range [0, %d)", row, n.Rows())
 	}
 	if lo < 0 || hi <= lo || hi > n.Trials {
 		return nil, fmt.Errorf("scenario: chunk trials [%d, %d) out of range [0, %d)", lo, hi, n.Trials)
 	}
-	entry, err := registry.FindAlgorithm(n.Algorithm)
-	if err != nil {
-		return nil, err
-	}
-	graphs := opt.Graphs
-	if graphs == nil {
-		graphs = graphstore.Shared()
-	}
-	s1, s2 := graphSeeds(n.Seed, row)
-	g, err := graphs.Get(opt.Ctx, n.Graph, rowParams[row], s1, s2)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: row %d: %w", row, err)
-	}
-	runner, problem := entry.New()
-	outs, err := core.MeasureRange(g, problem, runner, core.MeasureOptions{
-		Seed:        rowSeed(n.Seed, row),
-		Parallelism: opt.Parallelism,
-	}, lo, hi)
-	if err != nil {
-		return nil, fmt.Errorf("scenario: row %d (%s on %s): %w", row, n.Algorithm, g, err)
-	}
-	return &Chunk{
-		Row:     row,
-		TrialLo: lo,
-		TrialHi: hi,
-		Meta:    core.Meta(g, problem, runner),
-		Trials:  outs,
-	}, nil
+	return measureRow(n, row, lo, hi, opt)
 }
 
 // MergeChunks reassembles a full Outcome from chunks covering every (row,
@@ -468,42 +445,51 @@ func MergeChunks(s *Spec, chunks []*Chunk) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
-	rowParams := rowParamsOf(n)
-	byRow := make([][]*Chunk, len(rowParams))
+	byRow := make([][]*Chunk, n.Rows())
 	for _, c := range chunks {
-		if c.Row < 0 || c.Row >= len(rowParams) {
-			return nil, fmt.Errorf("scenario: merge: chunk row %d out of range [0, %d)", c.Row, len(rowParams))
+		if c == nil || c.Row < 0 || c.Row >= len(byRow) {
+			return nil, fmt.Errorf("scenario: merge: chunk outside rows [0, %d)", len(byRow))
 		}
-		if len(c.Trials) != c.TrialHi-c.TrialLo {
-			return nil, fmt.Errorf("scenario: merge: row %d chunk [%d, %d) carries %d trials", c.Row, c.TrialLo, c.TrialHi, len(c.Trials))
+		if err := c.Check(c.Row, c.TrialLo, c.TrialHi); err != nil {
+			return nil, fmt.Errorf("scenario: merge: %w", err)
 		}
 		byRow[c.Row] = append(byRow[c.Row], c)
 	}
-	rows := make([]Row, len(rowParams))
+	rows := make([]Row, len(byRow))
 	for row, rc := range byRow {
-		sort.Slice(rc, func(i, j int) bool { return rc[i].TrialLo < rc[j].TrialLo })
-		next := 0
-		outs := make([]core.TrialOutcome, 0, n.Trials)
-		for _, c := range rc {
-			if c.TrialLo != next {
-				return nil, fmt.Errorf("scenario: merge: row %d trials [%d, %d) missing or duplicated", row, next, c.TrialLo)
-			}
-			if c.Meta != rc[0].Meta {
-				return nil, fmt.Errorf("scenario: merge: row %d chunk [%d, %d) metadata %+v disagrees with %+v", row, c.TrialLo, c.TrialHi, c.Meta, rc[0].Meta)
-			}
-			outs = append(outs, c.Trials...)
-			next = c.TrialHi
-		}
-		if next != n.Trials {
-			return nil, fmt.Errorf("scenario: merge: row %d covers %d of %d trials", row, next, n.Trials)
-		}
-		meta := rc[0].Meta
-		rows[row] = Row{
-			Params: rowParams[row],
-			Nodes:  meta.Nodes,
-			Edges:  meta.Edges,
-			Report: core.MergeTrials(meta, outs),
+		if rows[row], err = n.mergeRow(row, rc); err != nil {
+			return nil, err
 		}
 	}
 	return &Outcome{Spec: n, Hash: hash, Rows: rows}, nil
+}
+
+// mergeRow assembles report row `row` of the normalized spec n from chunks
+// that must cover its trials exactly once and agree on the row's metadata.
+// Run merges each row through it too, as one chunk, so local and fleet
+// rows accumulate in the same order by construction.
+func (n *Spec) mergeRow(row int, rc []*Chunk) (Row, error) {
+	sort.Slice(rc, func(i, j int) bool { return rc[i].TrialLo < rc[j].TrialLo })
+	next := 0
+	outs := make([]core.TrialOutcome, 0, n.Trials)
+	for _, c := range rc {
+		if c.TrialLo != next {
+			return Row{}, fmt.Errorf("scenario: merge: row %d trials [%d, %d) missing or duplicated", row, next, c.TrialLo)
+		}
+		if c.Meta != rc[0].Meta {
+			return Row{}, fmt.Errorf("scenario: merge: row %d chunk [%d, %d) metadata %+v disagrees with %+v", row, c.TrialLo, c.TrialHi, c.Meta, rc[0].Meta)
+		}
+		outs = append(outs, c.Trials...)
+		next = c.TrialHi
+	}
+	if next != n.Trials {
+		return Row{}, fmt.Errorf("scenario: merge: row %d covers %d of %d trials", row, next, n.Trials)
+	}
+	meta := rc[0].Meta
+	return Row{
+		Params: n.rowParams(row),
+		Nodes:  meta.Nodes,
+		Edges:  meta.Edges,
+		Report: core.MergeTrials(meta, outs),
+	}, nil
 }

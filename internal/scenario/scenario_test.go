@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"avgloc/internal/core"
 )
 
 func mustHash(t *testing.T, s *Spec) string {
@@ -270,7 +272,7 @@ func TestRunRowsConcurrent(t *testing.T) {
 	for i := range started {
 		started[i] = make(chan struct{})
 	}
-	err := runRows(2, 2, func(row, _ int) error {
+	err := core.ForEachSplit(2, 2, func(row, _ int) error {
 		close(started[row])
 		select {
 		case <-started[1-row]:
@@ -300,7 +302,7 @@ func TestRunRowsBudgetSplit(t *testing.T) {
 	for _, c := range cases {
 		var mu sync.Mutex
 		got := map[int]bool{}
-		if err := runRows(c.rows, c.workers, func(_, measurePar int) error {
+		if err := core.ForEachSplit(c.rows, c.workers, func(_, measurePar int) error {
 			mu.Lock()
 			got[measurePar] = true
 			mu.Unlock()
@@ -318,7 +320,7 @@ func TestRunRowsBudgetSplit(t *testing.T) {
 // the scheduling.
 func TestRunRowsFirstErrorWins(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := runRows(8, workers, func(row, _ int) error {
+		err := core.ForEachSplit(8, workers, func(row, _ int) error {
 			if row >= 2 {
 				return fmt.Errorf("row %d failed", row)
 			}

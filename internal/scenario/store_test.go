@@ -50,7 +50,7 @@ func TestRunChunkBytesColdVsWarmEveryFamily(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := RunChunk(&spec, 0, 0, 3, ChunkOptions{Parallelism: 2, Graphs: cold})
+			want, err := RunChunk(&spec, 0, 0, 3, Options{Parallelism: 2, Graphs: cold})
 			if err != nil {
 				t.Fatalf("cold RunChunk: %v", err)
 			}
@@ -61,7 +61,7 @@ func TestRunChunkBytesColdVsWarmEveryFamily(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, err := RunChunk(&spec, 0, 0, 3, ChunkOptions{Parallelism: 2, Graphs: warm})
+			got, err := RunChunk(&spec, 0, 0, 3, Options{Parallelism: 2, Graphs: warm})
 			if err != nil {
 				t.Fatalf("warm RunChunk: %v", err)
 			}
