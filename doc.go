@@ -37,14 +37,16 @@
 // color-class MIS sweep) are resumable stages in internal/alg/coloring
 // that programs chain in lockstep. Engine reuse (runtime.NewEngine) keeps
 // all per-run buffers in graph-sized arenas across repeated trials: the
-// engine borrows the graph's CSR offsets and twin-arc array instead of
-// copying them, a Send copies a pointer-free 16-byte runtime.Message
-// straight into the receiver's slot of the next-round buffer, an
-// algorithm builds every node's program into one slab that the engine
-// hands back on the next run, and outputs are int32 columns whose commit
-// ledger (NodeCommit/EdgeCommit == -1) marks what was never committed. The
-// round loop allocates nothing: a trial on a reused engine allocates only
-// its Result columns.
+// engine borrows the graph's CSR offsets, twin-arc and arc-head arrays
+// instead of copying them, a Broadcast writes one pointer-free 16-byte
+// runtime.Message into its sender's slot, from which each receiver gathers
+// its inbox, a Send copies the message straight into the receiver's slot
+// of an arc-indexed next-round buffer that exists only once some run on
+// the engine sends, an algorithm builds every node's program into one
+// slab that the engine hands back on the next run, and outputs are int32
+// columns whose commit ledger (NodeCommit/EdgeCommit == -1) marks what was
+// never committed. The round loop allocates nothing: a trial on a reused
+// engine allocates only its Result columns.
 //
 // # Measurement distributions
 //
@@ -116,16 +118,16 @@
 // produces — scenario.Run measures each row as one chunk and merges it
 // through the same per-row merge, so the equivalence holds by
 // construction. Every chunk read from a worker or the chunk cache passes
-// scenario.Chunk.Check (identity, trial count, per-trial array sizes)
-// before it may reach the merge. The fleet
-// Coordinator shards specs into chunks and leases them to cmd/avgworker
-// processes over a pull-based HTTP protocol with heartbeats,
-// retry-on-worker-loss, work stealing for stragglers, and chunk-level
-// write-through caching (scenario.ChunkKey in the shared result store),
-// so a crash re-run only re-executes lost chunks. avgserve's -fleet mode
-// dispatches /v1/run, /v1/batch and /v1/campaigns through it whenever
-// workers are attached and falls back to local execution otherwise;
-// clients cannot tell the difference, byte for byte.
+// scenario.ChunkChecker.Accept (identity, trial count, per-trial array
+// sizes, and metadata that agrees with the row's other chunks) before it
+// may reach the merge. The fleet Coordinator shards specs into chunks and
+// leases them to cmd/avgworker processes over a pull-based HTTP protocol
+// with heartbeats, retry-on-worker-loss, work stealing for stragglers, and
+// chunk-level write-through caching (scenario.ChunkKey in the shared
+// result store), so a crash re-run only re-executes lost chunks.
+// avgserve's -fleet mode dispatches /v1/run, /v1/batch and /v1/campaigns
+// through it whenever workers are attached and falls back to local
+// execution otherwise; clients cannot tell the difference, byte for byte.
 //
 // # Campaigns and asymptotic fits
 //

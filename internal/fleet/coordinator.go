@@ -132,6 +132,7 @@ type workerState struct {
 // run collects one scenario's chunks.
 type run struct {
 	span      *obs.Span // the run's fleet.run span (nil when tracing is off)
+	check     *scenario.ChunkChecker
 	remaining int
 	chunks    []*scenario.Chunk
 	err       error
@@ -533,7 +534,7 @@ func (c *Coordinator) complete(req *completeRequest) completeResponse {
 		return completeResponse{}
 	}
 	if req.Error == "" {
-		if err := req.Chunk.Check(t.job.Row, t.job.TrialLo, t.job.TrialHi); err != nil {
+		if err := t.run.check.Accept(req.Chunk, t.job.Row, t.job.TrialLo, t.job.TrialHi); err != nil {
 			// The result must not poison the merge, but a rogue worker is
 			// not a deterministic execution error either — another worker
 			// would derive the right bytes. Drop this worker's lease and
@@ -621,41 +622,70 @@ func (c *Coordinator) RunScenario(ctx context.Context, spec *scenario.Spec) (*sc
 	if err != nil {
 		return nil, err
 	}
+	check, err := n.ChunkChecker()
+	if err != nil {
+		return nil, err
+	}
 	runSpan := c.spanFrom(ctx, "fleet.run",
 		obs.A("key", key), obs.A("rows", n.Rows()), obs.A("trials", n.Trials))
-	r := &run{done: make(chan struct{}), span: runSpan}
+	r := &run{done: make(chan struct{}), span: runSpan, check: check}
 	var tasks []*task
 	size := c.cfg.chunkTrials()
 	for row := 0; row < n.Rows(); row++ {
+		var cached []*scenario.Chunk
+		var todo [][2]int
+		poisoned := false
 		for lo := 0; lo < n.Trials; lo += size {
-			hi := lo + size
-			if hi > n.Trials {
-				hi = n.Trials
-			}
-			ck := scenario.ChunkKey(key, row, lo, hi)
+			hi := min(lo+size, n.Trials)
 			if c.cfg.Store != nil {
+				ck := scenario.ChunkKey(key, row, lo, hi)
 				gs := runSpan.Span("store.get", obs.A("key", ck))
 				data, ok := c.cfg.Store.Get(ck)
 				gs.End(obs.A("hit", ok))
 				if ok {
 					var ch scenario.Chunk
-					if json.Unmarshal(data, &ch) == nil && ch.Check(row, lo, hi) == nil {
-						r.chunks = append(r.chunks, &ch)
-						c.cached.Add(1)
-						runSpan.Event("chunk.cached",
-							obs.A("row", row), obs.A("lo", lo), obs.A("hi", hi))
-						continue
+					if json.Unmarshal(data, &ch) == nil {
+						if check.Accept(&ch, row, lo, hi) == nil {
+							cached = append(cached, &ch)
+							continue
+						}
+						// An entry that fails the check after the row has
+						// accepted cached chunks: it or the row's first
+						// chunk, which fixed the row's metadata, may be
+						// the bad one, so the whole row re-executes under
+						// a fresh reference, and its write-through
+						// replaces the bad entry wherever it is.
+						if poisoned = len(cached) > 0; poisoned {
+							break
+						}
 					}
-					// A corrupt or truncated partial falls through to a
+					// A corrupt or truncated partial, or a malformed one
+					// ahead of the row's cached chunks, falls through to a
 					// fresh execution, whose write-through replaces the bad
 					// entry — the same check complete() applies to worker
 					// uploads applies here, or a parseable-but-malformed
 					// cache file would fail every future merge of this spec.
 				}
 			}
+			todo = append(todo, [2]int{lo, hi})
+		}
+		if poisoned {
+			check.Forget(row)
+			cached, todo = nil, nil
+			for lo := 0; lo < n.Trials; lo += size {
+				todo = append(todo, [2]int{lo, min(lo+size, n.Trials)})
+			}
+		}
+		for _, ch := range cached {
+			r.chunks = append(r.chunks, ch)
+			c.cached.Add(1)
+			runSpan.Event("chunk.cached",
+				obs.A("row", row), obs.A("lo", ch.TrialLo), obs.A("hi", ch.TrialHi))
+		}
+		for _, t := range todo {
 			tasks = append(tasks, &task{
-				job: ChunkJob{Spec: *n, Row: row, TrialLo: lo, TrialHi: hi},
-				key: ck,
+				job: ChunkJob{Spec: *n, Row: row, TrialLo: t[0], TrialHi: t[1]},
+				key: scenario.ChunkKey(key, row, t[0], t[1]),
 				run: r,
 			})
 		}

@@ -25,10 +25,14 @@
 // result store under scenario.ChunkKey when one is configured, so a re-run
 // after a coordinator or worker crash only re-executes the lost chunks.
 //
-// An upload that fails scenario.Chunk.Check against its lease — wrong
-// identity or trial count, or a trial whose node or edge array disagrees
-// with the chunk's Meta — is refused and requeued like a lost lease; it
-// never reaches the merge. FuzzCompleteUpload fuzzes that path.
+// An upload that fails the run's scenario.ChunkChecker against its lease
+// — wrong identity or trial count, a Meta that disagrees with the spec or
+// with the row's first accepted chunk, or a trial whose node or edge array
+// disagrees with that Meta — is refused and requeued like a lost lease; it
+// never reaches the merge or the chunk cache. A cached chunk that fails
+// the same check is re-executed; if its row had already accepted cached
+// chunks, the whole row is, since the bad entry may be the one that fixed
+// the row's Meta. FuzzCompleteUpload fuzzes the upload path.
 //
 // Infrastructure failures (no workers attached, a chunk lost beyond the
 // DefaultMaxRetries budget) are reported as ErrUnavailable, distinct from

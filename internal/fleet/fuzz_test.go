@@ -21,12 +21,17 @@ func sealedUpload(tb testing.TB, ch *scenario.Chunk) []byte {
 // coordinator runs on it — the envelope, the strict JSON decode, the chunk
 // check against its lease, the merge — and asserts none of them panics.
 // Seeds: a sealed upload from a real RunChunk, a truncated one, one with a
-// flipped checksum, one carrying an over-long trial, and the two bare
-// payloads.
-// The upload answers the lease of checkSpec's only chunk, so the check and
-// the merge must agree: an upload merges exactly when it passes the check.
+// flipped checksum, one carrying an over-long trial, the two bare
+// payloads, and one whose Meta names another graph.
+// The upload answers the lease of pairSpec's second chunk; the row's first
+// chunk is a real one. In either order of the two, the chunk checker and
+// the merge must agree: the row merges exactly when both chunks pass.
 func FuzzCompleteUpload(f *testing.F) {
-	ch, err := scenario.RunChunk(&checkSpec, 0, 0, checkSpec.Trials, scenario.Options{Parallelism: 1})
+	first, err := scenario.RunChunk(&pairSpec, 0, 0, 2, scenario.Options{Parallelism: 1})
+	if err != nil {
+		f.Fatal(err)
+	}
+	ch, err := scenario.RunChunk(&pairSpec, 0, 2, 4, scenario.Options{Parallelism: 1})
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -46,6 +51,11 @@ func FuzzCompleteUpload(f *testing.F) {
 		}
 		f.Add(payload)
 	}
+	f.Add(sealedUpload(f, regraphed(ch)))
+	n, err := pairSpec.Normalize()
+	if err != nil {
+		f.Fatal(err)
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		payload, err := openEnvelope(body)
 		if err != nil {
@@ -58,10 +68,22 @@ func FuzzCompleteUpload(f *testing.F) {
 		if err := scenario.DecodeStrict(payload, &req); err != nil || req.Chunk == nil {
 			return
 		}
-		checkErr := req.Chunk.Check(0, 0, checkSpec.Trials)
-		_, mergeErr := scenario.MergeChunks(&checkSpec, []*scenario.Chunk{req.Chunk})
-		if (checkErr == nil) != (mergeErr == nil) {
-			t.Fatalf("chunk check (%v) and merge (%v) disagree", checkErr, mergeErr)
+		leases := map[*scenario.Chunk][2]int{first: {0, 2}, req.Chunk: {2, 4}}
+		for _, order := range [][]*scenario.Chunk{{first, req.Chunk}, {req.Chunk, first}} {
+			check, err := n.ChunkChecker()
+			if err != nil {
+				t.Fatal(err)
+			}
+			var checkErr error
+			for _, c := range order {
+				if checkErr == nil {
+					checkErr = check.Accept(c, 0, leases[c][0], leases[c][1])
+				}
+			}
+			_, mergeErr := scenario.MergeChunks(n, order)
+			if (checkErr == nil) != (mergeErr == nil) {
+				t.Fatalf("chunk check (%v) and merge (%v) disagree", checkErr, mergeErr)
+			}
 		}
 	})
 }

@@ -175,6 +175,11 @@ func (g *Graph) Arcs() (offsets, twin []int32) {
 	return g.offsets, g.twin
 }
 
+// Heads returns the arc-head array of the CSR layout: heads[a] is the node
+// at the far end of arc a, so node v's port p leads to heads[offsets[v]+p].
+// The returned slice aliases internal storage and must not be modified.
+func (g *Graph) Heads() []int32 { return g.neigh }
+
 // EdgeIDs returns the per-port edge ids of v. The returned slice aliases
 // internal storage and must not be modified.
 func (g *Graph) EdgeIDs(v int) []int32 {

@@ -14,26 +14,50 @@ import (
 // ports, node-indexed ones for what lives on nodes — so engine setup
 // performs O(1) allocations, and an execution bound to a graph can be reset
 // and reused across trials (see Engine). The topology is not copied: node
-// v's port p is arc offsets[v]+p of the graph's own CSR layout, and a
-// message sent on arc a lands in the receiver's inbox slot twin[a].
+// v's port p is arc offsets[v]+p of the graph's own CSR layout, leading to
+// node heads[a]; a message sent on arc a lands in the receiver's inbox
+// slot twin[a], and a broadcast by node u lands in u's own slot, which
+// each receiver gathers through heads.
 type execution struct {
 	g         *graph.Graph
 	alg       Algorithm
 	maxRounds int
 	round     int32 // the round being executed
 
-	// Topology borrowed from the graph (graph.Arcs); never written.
+	// Topology borrowed from the graph (graph.Arcs, graph.Heads); never
+	// written.
 	offsets []int32 // len n+1
 	twin    []int32 // len arcs
+	heads   []int32 // len arcs
 
 	// Arc-indexed arenas. cur holds each arc's inbox slot for this round;
-	// Send writes the next round's slot of the receiving arc directly.
+	// Send writes the next round's slot of the receiving arc directly. The
+	// two message buffers are nil until the engine's first Send
+	// (startSending).
 	cur       []Message
 	next      []Message
-	sentAt    []int32 // round of the last Send on each sender arc; -1 before any
+	sentAt    []int32 // round of the last send on each sender arc; -1 before any
 	edgeOut   []int32 // CommitEdge output per sender arc
 	edgeRound []int32 // CommitEdge round per sender arc; -1 = uncommitted
 	nbrIDs    []int64 // NeighborIDs arena
+
+	// Broadcast slots, node-indexed and double buffered like cur and next:
+	// Broadcast writes the sender's slot in bnext, and a receiver reads its
+	// neighbors' slots in bcur. A slot is empty unless its node broadcast
+	// in the round it was written for: step empties a node's bnext slot
+	// before the node runs, and the round after a node halts empties the
+	// slot it held two rounds back (halted lists those nodes).
+	bcur   []Message
+	bnext  []Message
+	halted []int32   // the nodes that halted in the previous round
+	inbox  []Message // scratch inbox of MaxDegree entries for inboxes built from slots
+
+	// sending and broadcasting record whether some node used Send, and
+	// whether some Broadcast delivered, in the current round; flip turns
+	// them into the next round's mode.
+	sending      bool
+	broadcasting bool
+	mode         inboxMode
 
 	// Node-indexed arenas. slab is what alg.Nodes returned for progs; it
 	// goes back to the next run's Nodes.
@@ -55,6 +79,18 @@ type execution struct {
 	errs     []nodeErr // run errors, in the order they were recorded
 }
 
+// inboxMode says where a round's inboxes come from, by what the previous
+// round sent: bit 0 is set if some Broadcast delivered, bit 1 if some node
+// used Send.
+type inboxMode uint8
+
+const (
+	inboxEmpty inboxMode = iota // nothing was sent
+	inboxSlots                  // broadcasts only: gather from the slots
+	inboxArcs                   // sends only: the arc buffer
+	inboxBoth                   // the arc buffer, empty ports from the slots
+)
+
 // nodeErr is a run error recorded by node v.
 type nodeErr struct {
 	v   int32
@@ -73,12 +109,15 @@ func newExecution(g *graph.Graph) *execution {
 		g:         g,
 		offsets:   offsets,
 		twin:      twin,
-		cur:       make([]Message, arcs),
-		next:      make([]Message, arcs),
+		heads:     g.Heads(),
 		sentAt:    make([]int32, arcs),
 		edgeOut:   make([]int32, arcs),
 		edgeRound: make([]int32, arcs),
 		nbrIDs:    make([]int64, arcs),
+		bcur:      make([]Message, n),
+		bnext:     make([]Message, n),
+		halted:    make([]int32, 0, n),
+		inbox:     make([]Message, g.MaxDegree()),
 		progs:     make([]Program, n),
 		ctxs:      make([]Context, n),
 		views:     make([]NodeView, n),
@@ -86,6 +125,17 @@ func newExecution(g *graph.Graph) *execution {
 		pcgs:      make([]rand.PCG, n),
 		haltAt:    make([]int32, n),
 		active:    make([]int32, n),
+	}
+}
+
+// startSending records that the round used Send, on its first Send, and
+// allocates the arc message double buffer on the engine's first Send;
+// later runs reuse it.
+func (ex *execution) startSending() {
+	ex.sending = true
+	if ex.next == nil {
+		ex.cur = make([]Message, len(ex.twin))
+		ex.next = make([]Message, len(ex.twin))
 	}
 }
 
@@ -101,12 +151,17 @@ func (ex *execution) reset(alg Algorithm, cfg Config) {
 		ex.maxRounds = DefaultMaxRounds(n)
 	}
 	ex.round = 0
+	ex.sending, ex.broadcasting, ex.mode = false, false, inboxEmpty
 	ex.messages = 0
 	ex.errs = nil
-	// Message buffers may hold leftovers from an aborted run; per-step
-	// inbox clearing only guarantees cleanliness for completed runs.
+	// Arc buffers may hold leftovers from an aborted run, or messages sent
+	// to halted nodes; per-step inbox clearing only keeps live nodes' arcs
+	// clean. The broadcast slots need no sweep: round 0 steps every node,
+	// emptying one buffer, and round 1 empties the other through step and
+	// the halted list, before any slot of either is read.
 	clear(ex.cur)
 	clear(ex.next)
+	ex.halted = ex.halted[:0]
 	clear(ex.edgeOut)
 	for a := range ex.sentAt {
 		ex.sentAt[a] = -1
@@ -117,7 +172,7 @@ func (ex *execution) reset(alg Algorithm, cfg Config) {
 	for v := 0; v < n; v++ {
 		lo, hi := ex.offsets[v], ex.offsets[v+1]
 		nbr := ex.nbrIDs[lo:hi:hi]
-		for p, u := range g.Neighbors(v) {
+		for p, u := range ex.heads[lo:hi] {
 			nbr[p] = cfg.IDs[u]
 		}
 		ex.pcgs[v] = *rand.NewPCG(cfg.Seed, uint64(v)*0x9E3779B97F4A7C15+0xD1B54A32D192ED03)
@@ -138,22 +193,61 @@ func (ex *execution) reset(alg Algorithm, cfg Config) {
 	ex.slab = alg.Nodes(ex.views, ex.progs, ex.slab)
 }
 
-// step runs node v for the current round against its inbox; its sends
-// have already landed in the next-round buffer when Round returns. The
-// inbox is cleared after delivery, which keeps the double buffer clean
-// without a full O(m) sweep per round: a slot is non-empty only while it
-// carries an undelivered message for a live node.
+// step runs node v for the current round against its inbox, built as the
+// round's mode says. Only the arc inbox needs clearing after delivery,
+// which keeps the arc double buffer clean without a full O(m) sweep per
+// round: an arc slot is non-empty only while it carries an undelivered
+// message for a live node. The scratch inbox is rebuilt whole for every
+// node, and no program keeps its inbox past Round. Before the node runs,
+// step empties its bnext slot, which still holds what it broadcast two
+// rounds back, so the slot is empty next round unless it broadcasts now.
 func (ex *execution) step(v int32) {
-	inbox := ex.cur[ex.offsets[v]:ex.offsets[v+1]]
-	ex.progs[v].Round(&ex.ctxs[v], inbox)
-	clear(inbox)
+	lo, hi := ex.offsets[v], ex.offsets[v+1]
+	ex.bnext[v] = Message{}
+	switch ex.mode {
+	case inboxEmpty:
+		inbox := ex.inbox[:hi-lo]
+		clear(inbox)
+		ex.progs[v].Round(&ex.ctxs[v], inbox)
+	case inboxSlots:
+		inbox := ex.inbox[:hi-lo]
+		for p, u := range ex.heads[lo:hi] {
+			inbox[p] = ex.bcur[u]
+		}
+		ex.progs[v].Round(&ex.ctxs[v], inbox)
+	case inboxArcs:
+		inbox := ex.cur[lo:hi]
+		ex.progs[v].Round(&ex.ctxs[v], inbox)
+		clear(inbox)
+	case inboxBoth:
+		// A port's arc slot is set exactly when its sender's Send won the
+		// port; otherwise the sender's Broadcast, if any, did.
+		inbox := ex.cur[lo:hi]
+		for p, u := range ex.heads[lo:hi] {
+			if inbox[p].Kind == 0 {
+				inbox[p] = ex.bcur[u]
+			}
+		}
+		ex.progs[v].Round(&ex.ctxs[v], inbox)
+		clear(inbox)
+	}
 }
 
-// flip swaps the message buffers. Stale slots need no sweep: step clears
-// each inbox on delivery, and slots addressed to halted nodes are never
-// read again.
+// flip swaps the message buffers and sets the next round's mode. Stale
+// slots need no sweep: step clears each arc inbox on delivery, arc slots
+// addressed to halted nodes are never read again, and broadcast slots are
+// emptied by their node's step or, once it halts, by runFrontier.
 func (ex *execution) flip() {
 	ex.cur, ex.next = ex.next, ex.cur
+	ex.bcur, ex.bnext = ex.bnext, ex.bcur
+	ex.mode = inboxEmpty
+	if ex.broadcasting {
+		ex.mode |= inboxSlots
+	}
+	if ex.sending {
+		ex.mode |= inboxArcs
+	}
+	ex.sending, ex.broadcasting = false, false
 }
 
 // runFrontier is the round loop. Per-round cost is proportional to
@@ -165,11 +259,18 @@ func (ex *execution) flip() {
 func (ex *execution) runFrontier() (*Result, error) {
 	for {
 		round := ex.round
+		// A node that halted last round no longer steps to empty its
+		// bnext slot, which holds its broadcast of two rounds back.
+		for _, v := range ex.halted {
+			ex.bnext[v] = Message{}
+		}
+		ex.halted = ex.halted[:0]
 		w := 0
 		for _, v := range ex.active {
 			ex.step(v)
 			if ex.ctxs[v].halted {
 				ex.haltAt[v] = round
+				ex.halted = append(ex.halted, v)
 			} else {
 				ex.active[w] = v
 				w++

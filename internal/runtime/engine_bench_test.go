@@ -4,6 +4,7 @@ import (
 	"math/rand/v2"
 	"testing"
 
+	"avgloc/internal/alg/matching"
 	"avgloc/internal/alg/mis"
 	"avgloc/internal/graph"
 	"avgloc/internal/ids"
@@ -102,12 +103,35 @@ func BenchmarkRoundSparseFrontier(b *testing.B) {
 func BenchmarkEngineRunLuby(b *testing.B) {
 	rng := rand.New(rand.NewPCG(5, 6))
 	g := graph.RandomRegular(131072, 8, rng)
-	assignment := ids.RandomPerm(g.N(), rng)
+	benchEngineRun(b, g, mis.Luby{}, ids.RandomPerm(g.N(), rng))
+}
+
+// BenchmarkEngineRunIsraeliItai runs matching/israeliitai on one reused
+// engine over a 131072-node 6-regular graph: proposals and acceptances go
+// through Send's arc path, match announcements through Broadcast.
+func BenchmarkEngineRunIsraeliItai(b *testing.B) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	g := graph.RandomRegular(131072, 6, rng)
+	benchEngineRun(b, g, matching.IsraeliItai{}, ids.RandomPerm(g.N(), rng))
+}
+
+// BenchmarkEngineRunRandLubyTorus runs matching/randluby on one reused
+// engine over the 64×64 torus, serve-miss's Send-heavy spec: three Send
+// rounds per phase, then a Broadcast round of match announcements.
+func BenchmarkEngineRunRandLubyTorus(b *testing.B) {
+	rng := rand.New(rand.NewPCG(9, 10))
+	g := graph.Torus(64, 64)
+	benchEngineRun(b, g, matching.RandLuby{}, ids.RandomPerm(g.N(), rng))
+}
+
+// benchEngineRun runs alg on one reused engine over g, one seed per
+// iteration.
+func benchEngineRun(b *testing.B, g *graph.Graph, alg runtime.Algorithm, assignment []int64) {
 	eng := runtime.NewEngine(g)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(mis.Luby{}, runtime.Config{IDs: assignment, Seed: uint64(i)}); err != nil {
+		if _, err := eng.Run(alg, runtime.Config{IDs: assignment, Seed: uint64(i)}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -15,11 +15,13 @@ import (
 )
 
 // referenceRun replicates the engine's semantics with none of the
-// frontier/arena machinery. Each node gets a private one-node execution
-// whose twin array is the identity, so the Context methods write the
-// node's sends into its own outbox and its edge commits into its own
-// per-port ledger; the reference then scatters every outbox through
-// g.Neighbor/TwinPort itself.
+// frontier/arena/slot machinery. Each node gets a private one-node
+// execution whose twin array is the identity, so the Context methods write
+// the node's sends into its own outbox, its broadcast into its own single
+// slot and its edge commits into its own per-port ledger; the reference
+// then scatters every delivered port through g.Neighbor/TwinPort itself:
+// a port stamped as sent this round carries the outbox message if Send
+// won it and the broadcast otherwise.
 func referenceRun(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 	n := g.N()
 	maxRounds := cfg.MaxRounds
@@ -55,6 +57,7 @@ func referenceRun(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 			sentAt:    make([]int32, deg),
 			edgeOut:   make([]int32, deg),
 			edgeRound: make([]int32, deg),
+			bnext:     make([]Message, 1), // the node's broadcast
 		}
 		for p := 0; p < deg; p++ {
 			node.twin[p] = int32(p)
@@ -75,14 +78,19 @@ func referenceRun(g *graph.Graph, alg Algorithm, cfg Config) (*Result, error) {
 			if halted[v] {
 				continue
 			}
-			nodes[v].round = round
+			node := nodes[v]
+			node.round = round
 			progs[v].Round(ctxs[v], cur[v])
-			outbox := nodes[v].next
+			outbox, bcast := node.next, node.bnext[0]
 			for p, m := range outbox {
-				if m.Kind != 0 {
-					next[g.Neighbor(v, p)][g.TwinPort(v, p)] = m
-					outbox[p] = Message{}
+				if node.sentAt[p] != round {
+					continue
 				}
+				if m.Kind == 0 {
+					m = bcast // no Send won the port: the broadcast did
+				}
+				next[g.Neighbor(v, p)][g.TwinPort(v, p)] = m
+				outbox[p] = Message{}
 			}
 		}
 		for v := 0; v < n; v++ {
@@ -193,7 +201,49 @@ func coinGossip() Algorithm {
 	}
 }
 
+// mixedGossip mixes Send and Broadcast within rounds: each round a node
+// broadcasts, sends on a random subset of its ports, or stays silent, so
+// rounds deliver slots only, arcs only, or both. A node's output folds in
+// every message with the port it arrived on.
+func mixedGossip() Algorithm {
+	return refAlgFunc{
+		name: "test/mixed-gossip",
+		node: func(view NodeView) refProgFunc {
+			sum := int64(0)
+			return func(ctx *Context, inbox []Message) {
+				for p, m := range inbox {
+					if m.Kind != 0 {
+						sum = sum*31 + int64(p+1)*int64(m.Kind)*(m.Val+1)
+					}
+				}
+				if view.Rand.Uint64()%6 == 0 || ctx.Round() > 20 {
+					ctx.CommitNode(int32(sum))
+					ctx.Halt()
+					return
+				}
+				val := int64(view.Rand.Uint64() % 8)
+				switch view.Rand.Uint64() % 3 {
+				case 0:
+					ctx.Broadcast(Message{Kind: 1, Val: val})
+				case 1:
+					for p := 0; p < view.Degree; p++ {
+						if view.Rand.Uint64()%2 == 0 {
+							ctx.Send(p, Message{Kind: 2, Val: val + int64(p)})
+						}
+					}
+				}
+			}
+		},
+	}
+}
+
 func TestFrontierMatchesReference(t *testing.T) {
+	for _, alg := range []func() Algorithm{coinGossip, mixedGossip} {
+		t.Run(alg().Name(), func(t *testing.T) { testFrontierMatchesReference(t, alg) })
+	}
+}
+
+func testFrontierMatchesReference(t *testing.T, alg func() Algorithm) {
 	rng := rand.New(rand.NewPCG(7, 9))
 	for trial := 0; trial < 30; trial++ {
 		n := 8 + int(rng.Uint64()%60)
@@ -204,8 +254,8 @@ func TestFrontierMatchesReference(t *testing.T) {
 		}
 		rng.Shuffle(n, func(i, j int) { idsAssign[i], idsAssign[j] = idsAssign[j], idsAssign[i] })
 		cfg := Config{IDs: idsAssign, Seed: rng.Uint64()}
-		want, err1 := referenceRun(g, coinGossip(), cfg)
-		got, err2 := Run(g, coinGossip(), cfg)
+		want, err1 := referenceRun(g, alg(), cfg)
+		got, err2 := Run(g, alg(), cfg)
 		if (err1 == nil) != (err2 == nil) {
 			t.Fatalf("trial %d: error mismatch: %v vs %v", trial, err1, err2)
 		}
@@ -227,9 +277,14 @@ func TestEngineReuseMatchesFreshRuns(t *testing.T) {
 	}
 	eng := NewEngine(g)
 	for trial := 0; trial < 10; trial++ {
+		// Alternate a broadcast-only and a mixed algorithm on one engine.
+		alg := coinGossip
+		if trial%2 == 1 {
+			alg = mixedGossip
+		}
 		cfg := Config{IDs: idsAssign, Seed: uint64(1000 + trial)}
-		fresh, err1 := Run(g, coinGossip(), cfg)
-		reused, err2 := eng.Run(coinGossip(), cfg)
+		fresh, err1 := Run(g, alg(), cfg)
+		reused, err2 := eng.Run(alg(), cfg)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("trial %d: %v / %v", trial, err1, err2)
 		}

@@ -23,13 +23,16 @@
 // Engine binds the executor to one graph and reuses its internal arenas
 // across runs, which makes repeated trials on the same graph (the shape of
 // every measurement loop in internal/core) allocation-free in the round
-// loop. The arenas are indexed by the graph's own arcs: the engine borrows
-// the graph's CSR offsets and twin-arc array rather than copying them, and
-// a Send writes the message — a fixed 16-byte value holding no pointers —
-// straight into the receiving arc's slot of the next-round buffer, so there
-// is no outbox, no scatter pass, no boxing and nothing for the garbage
-// collector to scan. An Algorithm builds the programs of all nodes at once
-// into one slab, which the engine hands back to it on the next run.
+// loop. The arenas are indexed by the graph's own arcs and nodes: the
+// engine borrows the graph's CSR offsets, twin-arc and arc-head arrays
+// rather than copying them. Messages are fixed 16-byte values holding no
+// pointers, so nothing is boxed and the garbage collector scans nothing.
+// A Broadcast writes one slot for its sender, and each receiver gathers
+// its inbox from its neighbors' slots; a Send writes the message straight
+// into the receiving arc's slot of an arc-indexed next-round buffer, which
+// the engine allocates only once some run on it sends. An Algorithm builds
+// the programs of all nodes at once into one slab, which the engine hands
+// back to it on the next run.
 package runtime
 
 import (
@@ -166,37 +169,54 @@ func (c *Context) badPort(what string, port int) {
 }
 
 // Send delivers a message on the given port next round: it is written
-// straight into the receiver's inbox slot of the next-round buffer. At
+// straight into the receiver's inbox slot of the next-round arc buffer. At
 // most one message per port per round may be sent (bundle payloads into
-// one message value instead); violations, empty messages (Kind 0) and
+// one message value instead), and a port that Broadcast already served
+// this round counts as sent; violations, empty messages (Kind 0) and
 // ports outside [0, Degree) are reported as run errors and deliver
 // nothing.
 func (c *Context) Send(port int, m Message) {
-	if uint(port) >= uint(c.ex.views[c.v].Degree) {
+	ex := c.ex
+	if uint(port) >= uint(ex.views[c.v].Degree) {
 		c.badPort("sent on", port)
 		return
 	}
+	if !ex.sending {
+		ex.startSending()
+	}
 	a := c.base + int32(port)
-	c.sendArcs(a, a+1, m)
+	if m.Kind == 0 || ex.sentAt[a] == ex.round {
+		c.badSend(a, m)
+		return
+	}
+	ex.sentAt[a] = ex.round
+	ex.messages++
+	ex.next[ex.twin[a]] = m
 }
 
-// Broadcast sends the same message on every port.
+// Broadcast sends the same message on every port. It stamps the node's
+// arcs as sent, so a second Broadcast, or a Send and a Broadcast on one
+// port, is a run error on that port exactly as two Sends would be, and
+// the first message is the one delivered. It then writes the message
+// once, into the node's broadcast slot, from which each neighbor's inbox
+// gathers it next round.
 func (c *Context) Broadcast(m Message) {
-	c.sendArcs(c.base, c.base+int32(c.ex.views[c.v].Degree), m)
-}
-
-// sendArcs sends m on each of the node's own arcs lo..hi-1.
-func (c *Context) sendArcs(lo, hi int32, m Message) {
 	ex := c.ex
-	round, sentAt, next, twin := ex.round, ex.sentAt[lo:hi], ex.next, ex.twin[lo:hi]
+	lo := c.base
+	round, sentAt := ex.round, ex.sentAt[lo:lo+int32(ex.views[c.v].Degree)]
+	var sent int64
 	for i := range sentAt {
 		if m.Kind == 0 || sentAt[i] == round {
 			c.badSend(lo+int32(i), m)
 			continue
 		}
 		sentAt[i] = round
-		ex.messages++
-		next[twin[i]] = m
+		sent++
+	}
+	if sent > 0 {
+		ex.messages += sent
+		ex.bnext[c.v] = m
+		ex.broadcasting = true
 	}
 }
 
@@ -296,14 +316,16 @@ func DefaultMaxRounds(n int) int {
 }
 
 // Engine is a round executor bound to one graph. It borrows the graph's
-// CSR offsets and twin-arc array as its topology and sizes its buffers once
-// from the graph: the message double buffer, the per-arc send stamps, edge
-// output and edge commit columns and neighbor-ID arena, and the per-node
-// contexts, views and PRNGs. Every Run reuses them, and hands the
-// algorithm back the program slab of the previous run, so repeated trials
-// on the same graph — the shape of every measurement loop — cost O(1)
-// allocations per run (the Result columns) plus whatever the programs
-// allocate as they run.
+// CSR offsets, twin-arc and arc-head arrays as its topology and sizes its
+// buffers once from the graph: the per-arc send stamps, edge output and
+// edge commit columns and neighbor-ID arena, and the per-node broadcast
+// slots, contexts, views and PRNGs. The arc message double buffer is
+// allocated by the first Send on the engine, so an engine whose
+// algorithms only broadcast never holds it. Every Run reuses them, and
+// hands the algorithm back the program slab of the previous run, so
+// repeated trials on the same graph — the shape of every measurement loop
+// — cost O(1) allocations per run (the Result columns) plus whatever the
+// programs allocate as they run.
 //
 // An Engine is not safe for concurrent use; give each worker its own.
 // Results returned by Run never alias engine buffers and stay valid after

@@ -214,9 +214,23 @@ func TestIDValidation(t *testing.T) {
 	}
 }
 
+// inboxPort names a port by its receiving node's ID and its port there.
+type inboxPort struct {
+	id   int64
+	port int
+}
+
+// received is what badSender's nodes got in round 1: every non-empty
+// message counted once, and its kind by the port it arrived on.
+type received struct {
+	messages int
+	kinds    map[inboxPort]uint32
+}
+
 // badSender has node 0 misbehave through send(ctx) in round 0; in round 1
-// every node counts the messages it received.
-func badSender(received *int, send func(ctx *runtime.Context, view runtime.NodeView)) runtime.Algorithm {
+// every node counts the messages it received and records the kind of each
+// by the port it arrived on.
+func badSender(got *received, send func(ctx *runtime.Context, view runtime.NodeView)) runtime.Algorithm {
 	return runtimetest.Algorithm("test/bad-sender", func(view runtime.NodeView) runtimetest.Func {
 		return func(ctx *runtime.Context, inbox []runtime.Message) {
 			if ctx.Round() == 0 {
@@ -225,9 +239,10 @@ func badSender(received *int, send func(ctx *runtime.Context, view runtime.NodeV
 				}
 				return
 			}
-			for _, m := range inbox {
+			for p, m := range inbox {
 				if m.Kind != 0 {
-					*received++
+					got.messages++
+					got.kinds[inboxPort{view.ID, p}] = m.Kind
 				}
 			}
 			ctx.Halt()
@@ -237,12 +252,13 @@ func badSender(received *int, send func(ctx *runtime.Context, view runtime.NodeV
 
 // runBadSender runs badSender on a 4-cycle and checks that the run fails
 // with an error mentioning each of want, and that node 0's neighbors
-// received exactly delivered messages.
-func runBadSender(t *testing.T, delivered int, send func(*runtime.Context, runtime.NodeView), want ...string) {
+// received exactly delivered messages. It returns the kind each port of
+// node 0 delivered, 0 for none.
+func runBadSender(t *testing.T, delivered int, send func(*runtime.Context, runtime.NodeView), want ...string) [2]uint32 {
 	t.Helper()
-	received := 0
+	got := received{kinds: make(map[inboxPort]uint32)}
 	g := graph.Cycle(4)
-	_, err := runtime.Run(g, badSender(&received, send), runtime.Config{IDs: ids.Sequential(4)})
+	_, err := runtime.Run(g, badSender(&got, send), runtime.Config{IDs: ids.Sequential(4)})
 	if err == nil {
 		t.Fatal("bad sends accepted")
 	}
@@ -251,9 +267,19 @@ func runBadSender(t *testing.T, delivered int, send func(*runtime.Context, runti
 			t.Fatalf("error %q does not mention %q", err, w)
 		}
 	}
-	if received != delivered {
-		t.Fatalf("%d messages delivered, want %d", received, delivered)
+	if got.messages != delivered {
+		t.Fatalf("%d messages delivered, want %d", got.messages, delivered)
 	}
+	var kinds [2]uint32
+	for p := range kinds {
+		u := g.Neighbor(0, p)
+		for q, w := range g.Neighbors(u) {
+			if w == 0 {
+				kinds[p] = got.kinds[inboxPort{int64(u), q}]
+			}
+		}
+	}
+	return kinds
 }
 
 // TestBadPortIsRunError: a port outside [0, Degree) is a run error naming
@@ -280,10 +306,68 @@ func TestEmptyMessageIsRunError(t *testing.T) {
 // run error naming the node and the port; the first message is delivered
 // and the second does not overwrite it.
 func TestDoubleSendIsRunError(t *testing.T) {
-	runBadSender(t, 1, func(ctx *runtime.Context, _ runtime.NodeView) {
+	got := runBadSender(t, 1, func(ctx *runtime.Context, _ runtime.NodeView) {
 		ctx.Send(0, runtime.Message{Kind: 1})
 		ctx.Send(0, runtime.Message{Kind: 2})
 	}, "1 commit errors", "node 0 sent twice on port 0 in round 0")
+	if got[0] != 1 {
+		t.Fatalf("port 0 delivered kind %d, want the first message's 1", got[0])
+	}
+}
+
+// TestMixedSendBroadcastRunErrors: Broadcast counts as a send on every
+// port, so mixing it with Send, or broadcasting twice, is a run error
+// naming the node and the port, exactly as two Sends on one port are. The
+// first message to claim a port is the one delivered, and only delivered
+// ports carry a message.
+func TestMixedSendBroadcastRunErrors(t *testing.T) {
+	k := func(kind uint32) runtime.Message { return runtime.Message{Kind: kind} }
+	for _, tc := range []struct {
+		name string
+		send func(ctx *runtime.Context)
+		want []string
+		got  [2]uint32 // the Kind node 0's ports 0 and 1 deliver; 0 = nothing
+	}{
+		{"broadcast after send", func(ctx *runtime.Context) {
+			ctx.Send(0, k(1))
+			ctx.Broadcast(k(2))
+		}, []string{"1 commit errors", "node 0 sent twice on port 0 in round 0"}, [2]uint32{1, 2}},
+		{"send after broadcast", func(ctx *runtime.Context) {
+			ctx.Broadcast(k(1))
+			ctx.Send(1, k(2))
+		}, []string{"1 commit errors", "node 0 sent twice on port 1 in round 0"}, [2]uint32{1, 1}},
+		{"second broadcast", func(ctx *runtime.Context) {
+			ctx.Broadcast(k(1))
+			ctx.Broadcast(k(2))
+		}, []string{"2 commit errors", "node 0 sent twice on port 0 in round 0"}, [2]uint32{1, 1}},
+		{"broadcast after sends on every port", func(ctx *runtime.Context) {
+			ctx.Send(0, k(1))
+			ctx.Send(1, k(2))
+			ctx.Broadcast(k(3))
+		}, []string{"2 commit errors", "node 0 sent twice on port 0 in round 0"}, [2]uint32{1, 2}},
+		{"empty broadcast", func(ctx *runtime.Context) {
+			ctx.Broadcast(runtime.Message{Val: 7})
+		}, []string{"2 commit errors", "node 0 sent an empty message on port 0 in round 0"}, [2]uint32{0, 0}},
+		{"broadcast after an empty broadcast", func(ctx *runtime.Context) {
+			ctx.Broadcast(runtime.Message{Val: 7})
+			ctx.Broadcast(k(1))
+		}, []string{"2 commit errors", "node 0 sent an empty message on port 0 in round 0"}, [2]uint32{1, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			delivered := 0
+			for _, kind := range tc.got {
+				if kind != 0 {
+					delivered++
+				}
+			}
+			got := runBadSender(t, delivered, func(ctx *runtime.Context, _ runtime.NodeView) { tc.send(ctx) }, tc.want...)
+			for p, kind := range tc.got {
+				if got[p] != kind {
+					t.Errorf("port %d delivered kind %d, want %d", p, got[p], kind)
+				}
+			}
+		})
+	}
 }
 
 // TestEngineFootprint pins the bytes NewEngine allocates, an exact and
@@ -308,6 +392,48 @@ func TestEngineFootprint(t *testing.T) {
 		t.Logf("%v: NewEngine %.2f MB (%.0f%% of %.2f MB)", tc.g, got, 100*got/tc.before, tc.before)
 		if got > 0.70*tc.before {
 			t.Errorf("%v: NewEngine allocated %.2f MB, want at most 70%% of %.2f MB", tc.g, got, tc.before)
+		}
+	}
+}
+
+// TestArcBuffersOnlyForSends pins where the engine's largest arena goes: a
+// reused engine running mis.Luby, which only broadcasts, never allocates
+// the arc message double buffer, and one running matching.IsraeliItai,
+// which sends, allocates it on its first run and reuses it on every later
+// one.
+func TestArcBuffersOnlyForSends(t *testing.T) {
+	rng := rand.New(rand.NewPCG(43, 44))
+	g := graph.RandomRegular(1024, 6, rng)
+	eng := runtime.NewEngine(g)
+	cfg := runtime.Config{IDs: ids.RandomPerm(g.N(), rng)}
+	for i := 0; i < 3; i++ {
+		cfg.Seed++
+		if _, err := eng.Run(mis.Luby{}, cfg); err != nil {
+			t.Fatal(err)
+		}
+		if bufs := runtime.ArcBuffers(eng); bufs[0] != nil || bufs[1] != nil {
+			t.Fatalf("mis/luby run %d allocated the arc message buffers", i)
+		}
+	}
+	var first [2][]runtime.Message
+	for i := 0; i < 3; i++ {
+		cfg.Seed++
+		if _, err := eng.Run(matching.IsraeliItai{}, cfg); err != nil {
+			t.Fatal(err)
+		}
+		bufs := runtime.ArcBuffers(eng)
+		if len(bufs[0]) != 2*g.M() || len(bufs[1]) != 2*g.M() {
+			t.Fatalf("matching/israeliitai run %d: arc buffers of %d and %d messages, want %d",
+				i, len(bufs[0]), len(bufs[1]), 2*g.M())
+		}
+		if i == 0 {
+			first = bufs
+			continue
+		}
+		same := func(a, b []runtime.Message) bool { return &a[0] == &b[0] }
+		if !(same(bufs[0], first[0]) && same(bufs[1], first[1]) ||
+			same(bufs[0], first[1]) && same(bufs[1], first[0])) {
+			t.Fatalf("matching/israeliitai run %d allocated new arc buffers", i)
 		}
 	}
 }

@@ -380,14 +380,46 @@ type Chunk struct {
 	Trials  []core.TrialOutcome `json:"trials"`
 }
 
-// Check reports whether c is a well-formed result of trials [lo, hi) of
-// row `row`: its identity matches, the range is non-empty, it carries
-// hi-lo trials, and every trial's node and edge arrays have the sizes its
-// Meta declares. Chunks arrive from workers and from disk; an over-long
-// array would crash the merge and a short one would skew the averages.
-func (c *Chunk) Check(row, lo, hi int) error {
+// ChunkChecker holds, for each row of a spec, the metadata that row's
+// chunks must agree on: the algorithm and problem the spec names, and —
+// since only the built graph knows them — the graph, nodes and edges of
+// the row's first accepted chunk. The fleet's upload and chunk-cache
+// paths and MergeChunks all check chunks through one.
+type ChunkChecker struct {
+	algorithm, problem string
+	rows               []core.ReportMeta // zero until the row's first accepted chunk
+}
+
+// ChunkChecker returns a checker for the rows of the normalized spec n,
+// with no chunk accepted yet.
+func (n *Spec) ChunkChecker() (*ChunkChecker, error) {
+	entry, err := registry.FindAlgorithm(n.Algorithm)
+	if err != nil {
+		return nil, err
+	}
+	runner, problem := entry.New()
+	return &ChunkChecker{
+		algorithm: runner.Name(),
+		problem:   problem.Name,
+		rows:      make([]core.ReportMeta, n.Rows()),
+	}, nil
+}
+
+// Accept reports whether c is a well-formed result of trials [lo, hi) of
+// row `row` that agrees with the row's other chunks: its identity matches,
+// the range is non-empty, its metadata equals the row's, it carries hi-lo
+// trials, and every trial's node and edge arrays have the sizes the row's
+// metadata declares. The row's first accepted chunk fixes its graph,
+// nodes and edges for the chunks after it. Chunks arrive from workers and
+// from disk; an over-long array would crash the merge, a short one would
+// skew the averages, and a chunk that disagrees with its row's other
+// chunks would fail the merge.
+func (k *ChunkChecker) Accept(c *Chunk, row, lo, hi int) error {
 	if c == nil {
 		return errors.New("scenario: missing chunk")
+	}
+	if row < 0 || row >= len(k.rows) {
+		return fmt.Errorf("scenario: chunk row %d outside rows [0, %d)", row, len(k.rows))
 	}
 	if c.Row != row || c.TrialLo != lo || c.TrialHi != hi {
 		return fmt.Errorf("scenario: chunk row %d trials [%d, %d), want row %d trials [%d, %d)", c.Row, c.TrialLo, c.TrialHi, row, lo, hi)
@@ -395,17 +427,30 @@ func (c *Chunk) Check(row, lo, hi int) error {
 	if lo < 0 || hi <= lo {
 		return fmt.Errorf("scenario: row %d chunk trials [%d, %d) empty or negative", row, lo, hi)
 	}
+	want := k.rows[row]
+	if want == (core.ReportMeta{}) {
+		want = c.Meta
+		want.Algorithm, want.Problem = k.algorithm, k.problem
+	}
+	if c.Meta != want {
+		return fmt.Errorf("scenario: row %d chunk [%d, %d) metadata %+v disagrees with the row's %+v", row, lo, hi, c.Meta, want)
+	}
 	if len(c.Trials) != hi-lo {
 		return fmt.Errorf("scenario: row %d chunk [%d, %d) carries %d trials", row, lo, hi, len(c.Trials))
 	}
 	for i, o := range c.Trials {
-		if len(o.Node) != c.Meta.Nodes || len(o.Edge) != c.Meta.Edges {
+		if len(o.Node) != want.Nodes || len(o.Edge) != want.Edges {
 			return fmt.Errorf("scenario: row %d trial %d has %d node and %d edge times, want %d and %d",
-				row, lo+i, len(o.Node), len(o.Edge), c.Meta.Nodes, c.Meta.Edges)
+				row, lo+i, len(o.Node), len(o.Edge), want.Nodes, want.Edges)
 		}
 	}
+	k.rows[row] = want
 	return nil
 }
+
+// Forget drops the metadata row's accepted chunks fixed, so the row's next
+// accepted chunk fixes it again.
+func (k *ChunkChecker) Forget(row int) { k.rows[row] = core.ReportMeta{} }
 
 // RunChunk executes trials [lo, hi) of sweep row `row` of the scenario
 // through the same row measurement as Run, so a chunk's outcomes are a
@@ -433,9 +478,9 @@ func RunChunk(s *Spec, row, lo, hi int, opt Options) (*Chunk, error) {
 // row's chunks by trial range and feeds the concatenated outcomes to
 // core.MergeTrials — the same accumulation, in the same order, as Run —
 // so the result is byte-identical (MarshalStable) to a single-process run.
-// Gaps, overlaps, or chunks whose row identity disagrees are errors: a
-// silently tolerated hole would produce a plausible-looking but wrong
-// report.
+// Gaps, overlaps, or chunks that fail a ChunkChecker, fed in the given
+// order, are errors: a silently tolerated hole would produce a
+// plausible-looking but wrong report.
 func MergeChunks(s *Spec, chunks []*Chunk) (*Outcome, error) {
 	n, err := s.Normalize()
 	if err != nil {
@@ -445,12 +490,16 @@ func MergeChunks(s *Spec, chunks []*Chunk) (*Outcome, error) {
 	if err != nil {
 		return nil, err
 	}
+	check, err := n.ChunkChecker()
+	if err != nil {
+		return nil, err
+	}
 	byRow := make([][]*Chunk, n.Rows())
 	for _, c := range chunks {
-		if c == nil || c.Row < 0 || c.Row >= len(byRow) {
-			return nil, fmt.Errorf("scenario: merge: chunk outside rows [0, %d)", len(byRow))
+		if c == nil {
+			return nil, errors.New("scenario: merge: missing chunk")
 		}
-		if err := c.Check(c.Row, c.TrialLo, c.TrialHi); err != nil {
+		if err := check.Accept(c, c.Row, c.TrialLo, c.TrialHi); err != nil {
 			return nil, fmt.Errorf("scenario: merge: %w", err)
 		}
 		byRow[c.Row] = append(byRow[c.Row], c)
@@ -465,8 +514,8 @@ func MergeChunks(s *Spec, chunks []*Chunk) (*Outcome, error) {
 }
 
 // mergeRow assembles report row `row` of the normalized spec n from chunks
-// that must cover its trials exactly once and agree on the row's metadata.
-// Run merges each row through it too, as one chunk, so local and fleet
+// that must cover its trials exactly once; MergeChunks has already checked
+// that they agree on the row's metadata. Run merges each row through it too, as one chunk, so local and fleet
 // rows accumulate in the same order by construction.
 func (n *Spec) mergeRow(row int, rc []*Chunk) (Row, error) {
 	sort.Slice(rc, func(i, j int) bool { return rc[i].TrialLo < rc[j].TrialLo })
@@ -475,9 +524,6 @@ func (n *Spec) mergeRow(row int, rc []*Chunk) (Row, error) {
 	for _, c := range rc {
 		if c.TrialLo != next {
 			return Row{}, fmt.Errorf("scenario: merge: row %d trials [%d, %d) missing or duplicated", row, next, c.TrialLo)
-		}
-		if c.Meta != rc[0].Meta {
-			return Row{}, fmt.Errorf("scenario: merge: row %d chunk [%d, %d) metadata %+v disagrees with %+v", row, c.TrialLo, c.TrialHi, c.Meta, rc[0].Meta)
 		}
 		outs = append(outs, c.Trials...)
 		next = c.TrialHi
