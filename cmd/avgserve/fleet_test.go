@@ -174,19 +174,21 @@ func TestQueueFullReturns503RetryAfter(t *testing.T) {
 	}
 }
 
+// fleetCampaignJSON is a two-scenario campaign small enough to dispatch
+// through a test fleet.
+const fleetCampaignJSON = `{"name":"fleet-camp","scenarios":[
+	{"name":"rand","spec":{"graph":"cycle","algorithm":"mis/luby","trials":2,"seed":7,
+		"sweep":{"param":"n","values":[24,36,48]}},
+		"hypothesis":{"measure":"node_avg","expect":"log","compare_to":"det","op":"le","ratio":10}},
+	{"name":"det","spec":{"graph":"cycle","algorithm":"mis/det-coloring","trials":1,"seed":7,
+		"sweep":{"param":"n","values":[24,36,48]}}}]}`
+
 // TestFleetCampaignSharedBudget: a campaign on a fleet server dispatches
 // every scenario through the one coordinator (shared fleet budget) and
 // produces the same NDJSON stream as a local server.
 func TestFleetCampaignSharedBudget(t *testing.T) {
-	campaignJSON := `{"name":"fleet-camp","scenarios":[
-		{"name":"rand","spec":{"graph":"cycle","algorithm":"mis/luby","trials":2,"seed":7,
-			"sweep":{"param":"n","values":[24,36,48]}},
-			"hypothesis":{"measure":"node_avg","expect":"log","compare_to":"det","op":"le","ratio":10}},
-		{"name":"det","spec":{"graph":"cycle","algorithm":"mis/det-coloring","trials":1,"seed":7,
-			"sweep":{"param":"n","values":[24,36,48]}}}]}`
-
 	plain := newTestServer(t, "")
-	resp, localBody := post(t, plain.URL+"/v1/campaigns", campaignJSON)
+	resp, localBody := post(t, plain.URL+"/v1/campaigns", fleetCampaignJSON)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("local campaign: status %d: %s", resp.StatusCode, localBody)
 	}
@@ -200,7 +202,7 @@ func TestFleetCampaignSharedBudget(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	resp, fleetBody := post(t, ts.URL+"/v1/campaigns", campaignJSON)
+	resp, fleetBody := post(t, ts.URL+"/v1/campaigns", fleetCampaignJSON)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fleet campaign: status %d: %s", resp.StatusCode, fleetBody)
 	}
