@@ -10,10 +10,10 @@
 //	avgserve -addr :8080 -fleet            # + avgworker -coordinator http://host:8080
 //
 // In -fleet mode the server additionally mounts the internal/fleet
-// coordinator under /fleet/v1/ and transparently dispatches /v1/run,
-// /v1/batch and /v1/campaigns executions across attached avgworker
-// processes, falling back to local execution while none are attached.
-// Responses are byte-identical either way (see internal/fleet).
+// coordinator under /fleet/v1/ and transparently dispatches /v1/run and
+// /v1/campaigns executions across attached avgworker processes, falling
+// back to local execution while none are attached. Responses are
+// byte-identical either way (see internal/fleet).
 //
 // Endpoints:
 //
@@ -23,9 +23,9 @@
 //	GET  /debug/pprof/*           net/http/pprof (-pprof mode)
 //	GET  /v1/registry             graph families and algorithms, JSON
 //	POST /v1/run                  run a scenario spec synchronously
-//	POST /v1/batch                run up to 32 specs; streams NDJSON completions
-//	POST /v1/campaigns            run a hypothesis campaign; streams scenario
-//	                              completions (campaign order) then the verdict report
+//	POST /v1/campaigns            run up to 32 scenarios (hypotheses optional) as
+//	                              /v1/run jobs; streams scenario completions
+//	                              (campaign order) then the verdict report
 //	POST /v1/jobs                 submit a scenario, returns a job id
 //	GET  /v1/jobs/{id}            poll job status
 //	GET  /v1/jobs/{id}/result     fetch a finished job's report

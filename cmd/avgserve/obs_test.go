@@ -81,7 +81,7 @@ func TestPrometheusEndpoint(t *testing.T) {
 }
 
 // TestMetricsHammer drives both metrics endpoints from many goroutines
-// while a concurrent batch executes — under -race this is the atomicity
+// while a concurrent campaign executes — under -race this is the atomicity
 // audit of every migrated counter.
 func TestMetricsHammer(t *testing.T) {
 	ts := newTestServer(t, "")
@@ -103,15 +103,15 @@ func TestMetricsHammer(t *testing.T) {
 			}
 		}()
 	}
-	var specs []string
+	var items []string
 	for i := 0; i < 6; i++ {
-		specs = append(specs, fmt.Sprintf(`{"graph":"cycle","params":{"n":32},"algorithm":"mis/luby","trials":2,"seed":%d}`, i))
+		items = append(items, fmt.Sprintf(`{"name":"s%d","spec":{"graph":"cycle","params":{"n":32},"algorithm":"mis/luby","trials":2,"seed":%d}}`, i, i))
 	}
-	batch := `{"specs":[` + strings.Join(specs, ",") + `]}`
+	camp := `{"scenarios":[` + strings.Join(items, ",") + `]}`
 	for round := 0; round < 3; round++ {
-		resp, body := post(t, ts.URL+"/v1/batch", batch)
+		resp, body := post(t, ts.URL+"/v1/campaigns", camp)
 		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("batch: status %d: %s", resp.StatusCode, body)
+			t.Fatalf("campaign: status %d: %s", resp.StatusCode, body)
 		}
 	}
 	close(stop)

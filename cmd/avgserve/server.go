@@ -125,18 +125,11 @@ type serverConfig struct {
 	graphs *graphstore.Store
 }
 
-// newServer starts `workers` pool goroutines and returns the ready server.
-// par is each scenario run's scenario.Options.Parallelism worker budget,
-// split between concurrent sweep rows and per-row trial fan-out; because
-// every random stream is counter-derived from the master seed, responses
-// are bit-identical at any (workers, par) combination.
-func newServer(store *resultstore.Store, workers, par int) *server {
-	if workers < 1 {
-		workers = 1
-	}
-	return newServerCfg(serverConfig{store: store, workers: workers, par: par})
-}
-
+// newServerCfg starts cfg.workers pool goroutines and returns the ready
+// server. cfg.par is each scenario run's scenario.Options.Parallelism
+// worker budget, split between concurrent sweep rows and per-row trial
+// fan-out; because every random stream is counter-derived from the master
+// seed, responses are bit-identical at any (workers, par) combination.
 func newServerCfg(cfg serverConfig) *server {
 	if cfg.queueCap <= 0 {
 		cfg.queueCap = 256
@@ -179,7 +172,6 @@ func newServerCfg(cfg serverConfig) *server {
 	}
 	s.mux.HandleFunc("GET /v1/registry", s.handleRegistry)
 	s.mux.HandleFunc("POST /v1/run", s.handleRun)
-	s.mux.HandleFunc("POST /v1/batch", s.handleBatch)
 	s.mux.HandleFunc("POST /v1/campaigns", s.handleCampaign)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
 	s.mux.HandleFunc("GET /v1/jobs/{id}", s.handleJob)
@@ -639,89 +631,6 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	w.Write(result)
 }
 
-// maxBatchSpecs bounds one batch request: avgserve accepts unauthenticated
-// specs, so a single request's fan-out must be bounded like everything else.
-const maxBatchSpecs = 32
-
-// batchItem is one line of the /v1/batch NDJSON response stream.
-type batchItem struct {
-	Index  int    `json:"index"`
-	Status string `json:"status"` // done | error
-	Key    string `json:"key,omitempty"`
-	Cached bool   `json:"cached"`
-	Error  string `json:"error,omitempty"`
-}
-
-// handleBatch runs up to maxBatchSpecs scenario specs in one request and
-// streams one NDJSON line per spec as it completes (completion order, each
-// line tagged with the spec's index in the request). Every spec goes
-// through the same submit path as /v1/run, so batches dedupe against the
-// result store and against in-flight jobs — including duplicates within the
-// batch itself, which all join a single execution. Result bytes are fetched
-// separately via GET /v1/reports/{key}: the stream carries completion
-// events, the store carries the canonical bytes.
-func (s *server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Specs []scenario.Spec `json:"specs"`
-	}
-	if !decodeJSON(w, r, "batch", &req) {
-		return
-	}
-	if len(req.Specs) == 0 {
-		httpError(w, http.StatusBadRequest, errors.New("batch has no specs"))
-		return
-	}
-	if len(req.Specs) > maxBatchSpecs {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("batch has %d specs, maximum %d", len(req.Specs), maxBatchSpecs))
-		return
-	}
-
-	// Submit everything before streaming starts: cache hits and duplicate
-	// joins resolve here, and a per-spec failure (validation, queue full)
-	// becomes that spec's error line instead of failing the whole batch.
-	jobs := make([]*job, len(req.Specs))
-	errs := make([]error, len(req.Specs))
-	for i := range req.Specs {
-		jobs[i], errs[i] = s.submit(&req.Specs[i])
-	}
-
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-
-	lines := make(chan batchItem, len(req.Specs))
-	var wg sync.WaitGroup
-	for i := range req.Specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			if errs[i] != nil {
-				lines <- batchItem{Index: i, Status: statusError, Error: errs[i].Error()}
-				return
-			}
-			j := jobs[i]
-			<-j.done
-			s.mu.Lock()
-			item := batchItem{Index: i, Status: j.Status, Key: j.Key, Cached: j.Cached, Error: j.Error}
-			s.mu.Unlock()
-			lines <- item
-		}(i)
-	}
-	go func() {
-		wg.Wait()
-		close(lines)
-	}()
-	enc := json.NewEncoder(w)
-	for item := range lines {
-		if err := enc.Encode(item); err != nil {
-			return // client went away; jobs keep running and stay cached
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-}
-
 // campaignScenarioEvent is one per-scenario NDJSON line of the campaign
 // stream; campaignVerdictEvent is its final line.
 type campaignScenarioEvent struct {
@@ -739,14 +648,11 @@ type campaignVerdictEvent struct {
 	Report *campaign.Report `json:"report"`
 }
 
-// handleCampaign runs a declarative campaign (internal/campaign): every
-// scenario goes through the same submit path as /v1/run — deduping against
-// the result store, in-flight jobs and identical specs within the campaign
-// — then the hypotheses are evaluated on the outcomes. The response
-// streams one NDJSON scenario line per item in campaign order (index
-// order, unlike /v1/batch's completion order, so responses are
-// deterministic) followed by a final verdict object carrying the full
-// report.
+// handleCampaign runs a declarative campaign through campaign.Run with the
+// job table as its executor (runJob), then streams one NDJSON scenario
+// line per item in campaign order and a final verdict line. It passes no
+// context: jobs own their deadlines, and a client that goes away must not
+// cancel jobs that other waiters and the cache share.
 func (s *server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	var c campaign.Campaign
 	if !decodeJSON(w, r, "campaign", &c) {
@@ -758,83 +664,56 @@ func (s *server) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	}
 	s.campaignsTotal.Inc()
 
-	// Submit everything up front. Items whose key was already submitted by
-	// an earlier item share that item's job — deterministically, instead of
-	// racing the store against the worker pool.
-	n := len(c.Scenarios)
-	jobs := make([]*job, n)
-	errs := make([]error, n)
-	byKey := make(map[string]*job, n)
-	for i := range c.Scenarios {
-		key, err := c.Scenarios[i].Spec.Key()
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		if j, ok := byKey[key]; ok {
-			jobs[i] = j
-			continue
-		}
-		if jobs[i], errs[i] = s.submit(&c.Scenarios[i].Spec); errs[i] == nil {
-			byKey[key] = jobs[i]
-		}
-	}
-
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	emit := func(v any) bool {
-		if err := enc.Encode(v); err != nil {
-			return false // client went away; jobs keep running and stay cached
-		}
-		if flusher != nil {
+	writing := true
+	emit := func(v any) {
+		// After a failed write, stop writing; the jobs finish and stay cached.
+		if writing = writing && enc.Encode(v) == nil; writing && flusher != nil {
 			flusher.Flush()
 		}
-		return true
 	}
-
-	runs := make([]campaign.ScenarioRun, n)
-	for i := range c.Scenarios {
-		run := campaign.ScenarioRun{Index: i, Name: c.Scenarios[i].Name}
-		if errs[i] != nil {
-			run.Err = errs[i].Error()
-		} else {
-			j := jobs[i]
-			<-j.done
-			s.mu.Lock()
-			status, result, errMsg, cached := j.Status, j.result, j.Error, j.Cached
-			s.mu.Unlock()
-			run.Key, run.Cached = j.Key, cached
-			if status == statusError {
-				run.Err = errMsg
-			} else {
-				var out scenario.Outcome
-				if err := json.Unmarshal(result, &out); err != nil {
-					run.Err = fmt.Sprintf("decoding cached outcome: %v", err)
-				} else {
-					run.Outcome = &out
-				}
+	rep, err := campaign.Run(&c, campaign.Options{
+		// Submit every unique scenario at once; jobs run at s.par.
+		Parallelism: len(c.Scenarios),
+		Execute:     s.runJob,
+		OnScenario: func(run campaign.ScenarioRun) {
+			status := statusDone
+			if run.Err != "" {
+				status = statusError
 			}
-		}
-		runs[i] = run
-		ev := campaignScenarioEvent{
-			Type: "scenario", Index: i, Name: run.Name,
-			Status: statusDone, Key: run.Key, Cached: run.Cached, Error: run.Err,
-		}
-		if run.Err != "" {
-			ev.Status = statusError
-		}
-		if !emit(ev) {
-			return
-		}
-	}
-	rep, err := campaign.Evaluate(&c, runs)
+			emit(campaignScenarioEvent{Type: "scenario", Index: run.Index, Name: run.Name,
+				Status: status, Key: run.Key, Cached: run.Cached, Error: run.Err})
+		},
+	})
 	if err != nil {
-		log.Printf("avgserve: evaluating campaign: %v", err)
+		log.Printf("avgserve: running campaign: %v", err)
 		return
 	}
 	emit(campaignVerdictEvent{Type: "verdict", Report: rep})
+}
+
+// runJob is campaign.Options.Execute over the job table, the same submit
+// path as /v1/run: it submits the spec, waits and decodes the job's bytes.
+func (s *server) runJob(spec *scenario.Spec, _ scenario.Options) (*scenario.Outcome, bool, error) {
+	j, err := s.submit(spec)
+	if err != nil {
+		return nil, false, err
+	}
+	<-j.done
+	s.mu.Lock()
+	status, result, errMsg, cached := j.Status, j.result, j.Error, j.Cached
+	s.mu.Unlock()
+	if status == statusError {
+		return nil, cached, errors.New(errMsg)
+	}
+	var out scenario.Outcome
+	if err := json.Unmarshal(result, &out); err != nil {
+		return nil, cached, fmt.Errorf("decoding cached outcome: %v", err)
+	}
+	return &out, cached, nil
 }
 
 // handleSubmit enqueues a scenario and returns the job id immediately.

@@ -3,12 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"avgloc/internal/campaign"
 	"avgloc/internal/resultstore"
 )
 
@@ -18,7 +20,7 @@ func newTestServer(t *testing.T, dir string) *httptest.Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ts := httptest.NewServer(newServer(store, 2, 2))
+	ts := httptest.NewServer(newServerCfg(serverConfig{store: store, workers: 2, par: 2}))
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -222,95 +224,6 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestBatchEndpoint: /v1/batch runs several specs, streams one NDJSON line
-// per spec tagged with its request index, dedupes duplicates within the
-// batch onto one cache key, and reports per-spec errors without failing the
-// batch.
-func TestBatchEndpoint(t *testing.T) {
-	ts := newTestServer(t, "")
-	batch := `{"specs":[
-		{"graph":"regular","params":{"n":48,"d":4},"algorithm":"mis/luby","trials":2,"seed":5},
-		{"graph":"cycle","params":{"n":32},"algorithm":"mis/luby","trials":2,"seed":5},
-		{"graph":"regular","params":{"n":48,"d":4},"algorithm":"mis/luby","trials":2,"seed":5},
-		{"graph":"nope","algorithm":"mis/luby"}
-	]}`
-	resp, body := post(t, ts.URL+"/v1/batch", batch)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	if ct := resp.Header.Get("Content-Type"); ct != "application/x-ndjson" {
-		t.Fatalf("content type %q", ct)
-	}
-	type item struct {
-		Index  int    `json:"index"`
-		Status string `json:"status"`
-		Key    string `json:"key"`
-		Cached bool   `json:"cached"`
-		Error  string `json:"error"`
-	}
-	lines := strings.Split(strings.TrimSpace(string(body)), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("got %d NDJSON lines, want 4: %s", len(lines), body)
-	}
-	byIndex := map[int]item{}
-	for _, l := range lines {
-		var it item
-		if err := json.Unmarshal([]byte(l), &it); err != nil {
-			t.Fatalf("line %q: %v", l, err)
-		}
-		byIndex[it.Index] = it
-	}
-	for i := 0; i < 3; i++ {
-		if byIndex[i].Status != "done" || byIndex[i].Key == "" {
-			t.Fatalf("spec %d: %+v", i, byIndex[i])
-		}
-	}
-	if byIndex[0].Key != byIndex[2].Key {
-		t.Fatalf("duplicate specs got different keys: %q vs %q", byIndex[0].Key, byIndex[2].Key)
-	}
-	if byIndex[0].Key == byIndex[1].Key {
-		t.Fatal("distinct specs share a key")
-	}
-	if byIndex[3].Status != "error" || !strings.Contains(byIndex[3].Error, "caterpillar") {
-		t.Fatalf("invalid spec did not error with the family catalogue: %+v", byIndex[3])
-	}
-	// Completed batch results are served canonically from the store.
-	r, report := get(t, ts.URL+"/v1/reports/"+byIndex[0].Key)
-	if r.StatusCode != http.StatusOK || !strings.Contains(string(report), `"rows"`) {
-		t.Fatalf("batch result not cached: status %d", r.StatusCode)
-	}
-	// A repeated batch is answered from the cache.
-	_, body2 := post(t, ts.URL+"/v1/batch", batch)
-	for _, l := range strings.Split(strings.TrimSpace(string(body2)), "\n") {
-		var it item
-		if err := json.Unmarshal([]byte(l), &it); err != nil {
-			t.Fatal(err)
-		}
-		if it.Status == "done" && !it.Cached {
-			t.Fatalf("repeat batch spec %d missed the cache", it.Index)
-		}
-	}
-}
-
-func TestBatchRejectsBadRequests(t *testing.T) {
-	ts := newTestServer(t, "")
-	if resp, _ := post(t, ts.URL+"/v1/batch", `{"specs":[]}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("empty batch: status %d", resp.StatusCode)
-	}
-	if resp, _ := post(t, ts.URL+"/v1/batch", `not json`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad JSON: status %d", resp.StatusCode)
-	}
-	var specs []string
-	for i := 0; i < maxBatchSpecs+1; i++ {
-		specs = append(specs, `{"graph":"cycle","params":{"n":16},"algorithm":"mis/luby"}`)
-	}
-	over := `{"specs":[` + strings.Join(specs, ",") + `]}`
-	resp, body := post(t, ts.URL+"/v1/batch", over)
-	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "maximum") {
-		t.Fatalf("oversized batch: status %d: %s", resp.StatusCode, body)
-	}
-}
-
 // campaignJSON is a small two-scenario campaign with one hypothesis pair:
 // luby on cycles is at most log-ish and below det by a wide ratio.
 const campaignJSON = `{"name":"smoke","scenarios":[
@@ -375,6 +288,16 @@ func TestCampaignEndpoint(t *testing.T) {
 	}
 	if events[0]["key"] != events[2]["key"] {
 		t.Fatal("identical specs got different keys")
+	}
+	if events[0]["key"] == events[1]["key"] {
+		t.Fatal("distinct specs share a key")
+	}
+	// Finished scenario results are served canonically from the store.
+	for i, ev := range events {
+		r, report := get(t, ts.URL+"/v1/reports/"+ev["key"].(string))
+		if r.StatusCode != http.StatusOK || !strings.Contains(string(report), `"rows"`) {
+			t.Fatalf("event %d result not served by key: status %d", i, r.StatusCode)
+		}
 	}
 	if verdict == nil {
 		t.Fatalf("no verdict event: %s", body)
@@ -458,7 +381,7 @@ func TestCampaignResponsesByteIdenticalAcrossParallelism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ts := httptest.NewServer(newServer(store, cfg.workers, cfg.par))
+		ts := httptest.NewServer(newServerCfg(serverConfig{store: store, workers: cfg.workers, par: cfg.par}))
 		resp, body := post(t, ts.URL+"/v1/campaigns", campaignJSON)
 		ts.Close()
 		if resp.StatusCode != http.StatusOK {
@@ -484,6 +407,21 @@ func TestCampaignRejectsBadRequests(t *testing.T) {
 	}
 	if resp, _ := post(t, ts.URL+"/v1/campaigns", `not json`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad JSON: status %d", resp.StatusCode)
+	}
+	// An unknown graph family fails the whole campaign with the catalogue.
+	family := `{"scenarios":[{"name":"a","spec":{"graph":"nope","algorithm":"mis/luby"}}]}`
+	resp, body = post(t, ts.URL+"/v1/campaigns", family)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "caterpillar") {
+		t.Fatalf("unknown family: status %d: %s", resp.StatusCode, body)
+	}
+	var items []string
+	for i := 0; i < campaign.MaxScenarios+1; i++ {
+		items = append(items, fmt.Sprintf(`{"name":"s%d","spec":{"graph":"cycle","params":{"n":16},"algorithm":"mis/luby"}}`, i))
+	}
+	over := `{"scenarios":[` + strings.Join(items, ",") + `]}`
+	resp, body = post(t, ts.URL+"/v1/campaigns", over)
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), fmt.Sprintf("maximum %d", campaign.MaxScenarios)) {
+		t.Fatalf("oversized campaign: status %d: %s", resp.StatusCode, body)
 	}
 }
 
@@ -525,7 +463,7 @@ func TestJobPruning(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := newServer(store, 1, 1)
+	srv := newServerCfg(serverConfig{store: store, workers: 1, par: 1})
 	srv.retain = 3
 	ts := httptest.NewServer(srv)
 	t.Cleanup(ts.Close)

@@ -15,7 +15,7 @@ import (
 
 // syntheticArtifact builds a small fleet-shaped trace in memory: one run
 // with two chunks, one of which is stolen after its first lease dies.
-func syntheticArtifact(t *testing.T) string {
+func syntheticArtifact(t testing.TB) string {
 	t.Helper()
 	var b strings.Builder
 	tr := obs.NewTracer(&b, "fleet.campaign", obs.A("key", "deadbeef-s1"))

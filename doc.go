@@ -102,11 +102,8 @@
 // artifacts — an in-memory LRU over immutable graphs plus an optional
 // checksummed CSR disk tier (-graph-cache-dir) that reruns a sweep with
 // zero generator invocations and quarantines anything corrupt before a
-// deterministic rebuild. POST /v1/batch accepts up to 32
-// specs in one request, dedupes them against the store, in-flight jobs
-// and each other, and streams one NDJSON completion line per spec. GET
-// /v1/metrics exposes the cache and run counters that make the dedupe
-// observable.
+// deterministic rebuild. GET /v1/metrics exposes the cache and run
+// counters that make the dedupe observable.
 //
 // # Fleet
 //
@@ -125,8 +122,7 @@
 // with heartbeats, retry-on-worker-loss, work stealing for stragglers, and
 // chunk-level write-through caching (scenario.ChunkKey in the shared
 // result store), so a crash re-run only re-executes lost chunks.
-// avgserve's -fleet mode dispatches /v1/run, /v1/batch and /v1/campaigns
-// through it whenever workers are attached and falls back to local
+// avgserve's -fleet mode dispatches /v1/run and /v1/campaigns through it whenever workers are attached and falls back to local
 // execution otherwise; clients cannot tell the difference, byte for byte.
 //
 // # Campaigns and asymptotic fits
@@ -151,9 +147,9 @@
 // byte-identically at every parallelism level. cmd/avgcampaign runs a
 // campaign file locally (or against a server via -server) and
 // campaigns/paper.json ships the paper's E1/E3-vs-E4/E9-style claims;
-// POST /v1/campaigns streams per-scenario completions in campaign order
-// followed by the verdict report, deduped through the same result store
-// as every other endpoint. Beside the fits, internal/fit keeps a catalogue
+// POST /v1/campaigns runs campaign.Run over avgserve's job table, so up to
+// 32 scenarios (hypotheses optional) dedupe like any /v1/run, and streams
+// completions in campaign order followed by the verdict report. Beside the fits, internal/fit keeps a catalogue
 // of frozen models a + b·f(n) (optionally Δ-capped, a + b·min(log₂ Δ, f(n)))
 // per (algorithm, family, measure), with constants fitted once.
 // internal/campaign evaluates them against every sweep from outcome rows

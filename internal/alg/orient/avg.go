@@ -85,8 +85,8 @@ type avgState struct {
 
 // Run executes the algorithm; ids break default-orientation ties.
 func (d DetAveraged) Run(g *graph.Graph, ids []int64) (*runtime.Result, error) {
-	if g.N() > 0 && g.MinDegree() < 3 {
-		return nil, fmt.Errorf("orient/det-averaged: needs minimum degree 3, got %d", g.MinDegree())
+	if err := checkMinDegree(d.Name(), g); err != nil {
+		return nil, err
 	}
 	r := d.R
 	if r <= 0 {

@@ -18,10 +18,22 @@
 package orient
 
 import (
+	"fmt"
+
 	"avgloc/internal/graph"
 	"avgloc/internal/locality"
 	"avgloc/internal/runtime"
 )
+
+// checkMinDegree refuses graphs of minimum degree below 3, where every
+// runner's assumption of a cycle per component fails. All three Run
+// methods call it first, so they fail alike at any seed and trial count.
+func checkMinDegree(name string, g *graph.Graph) error {
+	if g.N() > 0 && g.MinDegree() < 3 {
+		return fmt.Errorf("%s: needs minimum degree 3, got %d", name, g.MinDegree())
+	}
+	return nil
+}
 
 // DetWorstCase orients every connected component away from one canonical
 // shortest cycle: the cycle is oriented cyclically and every other node
@@ -35,7 +47,10 @@ type DetWorstCase struct{}
 func (DetWorstCase) Name() string { return "orient/det-worstcase" }
 
 // Run executes the algorithm; ids break orientation ties.
-func (DetWorstCase) Run(g *graph.Graph, ids []int64) (*runtime.Result, error) {
+func (d DetWorstCase) Run(g *graph.Graph, ids []int64) (*runtime.Result, error) {
+	if err := checkMinDegree(d.Name(), g); err != nil {
+		return nil, err
+	}
 	toward := make([]int32, g.M())
 	for e := range toward {
 		toward[e] = -1

@@ -40,6 +40,9 @@ func (RandMarking) Name() string { return "orient/rand-marking" }
 
 // Run executes the algorithm with per-node PRNGs derived from seed.
 func (r RandMarking) Run(g *graph.Graph, ids []int64, seed uint64) (*runtime.Result, error) {
+	if err := checkMinDegree(r.Name(), g); err != nil {
+		return nil, err
+	}
 	n, m := g.N(), g.M()
 	s := locality.New(g)
 	rngs := make([]*rand.Rand, n)
@@ -54,14 +57,7 @@ func (r RandMarking) Run(g *graph.Graph, ids []int64, seed uint64) (*runtime.Res
 		edgeRound[e] = -1
 	}
 	satisfied := make([]bool, n)
-	left := 0
-	for v := 0; v < n; v++ {
-		if g.Deg(v) == 0 {
-			satisfied[v] = true
-		} else {
-			left++
-		}
-	}
+	left := n // checkMinDegree: every node needs an out-edge
 
 	phaseCap := r.PhaseCap
 	if phaseCap <= 0 {

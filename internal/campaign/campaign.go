@@ -39,7 +39,7 @@ import (
 )
 
 // MaxScenarios bounds one campaign; campaigns reach avgserve's
-// unauthenticated surface, so the fan-out must be bounded like batches.
+// unauthenticated surface, so one request's fan-out must be bounded.
 const MaxScenarios = 32
 
 // Measures a hypothesis can read from a core.Report.
@@ -502,14 +502,14 @@ type Options struct {
 	// their next row boundary. Completed scenarios still wrote through to
 	// the store, so a retry resumes from cache.
 	Ctx context.Context
-	// Execute, if non-nil, replaces scenario.Run on cache misses. It gets
+	// Execute, if non-nil, replaces scenario.Run on Store misses. It gets
 	// the normalized spec and scenario options carrying the campaign
-	// context, the per-scenario slice of the Parallelism budget and Graphs.
-	// The fleet coordinator plugs in here, so every scenario of a campaign
-	// draws on one shared fleet budget instead of each opening its own;
-	// because fleet execution is byte-identical to local, the report does
-	// not depend on which executor ran.
-	Execute func(*scenario.Spec, scenario.Options) (*scenario.Outcome, error)
+	// context, the per-scenario slice of the Parallelism budget and Graphs,
+	// and reports whether its outcome came from a cache of its own. The
+	// fleet coordinator plugs in here (one shared fleet budget), and so
+	// does avgserve's job table, which owns its result store; every
+	// executor is byte-identical to scenario.Run.
+	Execute func(*scenario.Spec, scenario.Options) (out *scenario.Outcome, cached bool, err error)
 	// Graphs, if non-nil, is the graph store scenario execution fetches
 	// graphs through (-graph-cache-dir): campaign scenarios that sweep the
 	// same families share builds, and a warm disk tier runs a repeat
@@ -526,9 +526,20 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	// Dedupe equal keys onto one execution slot. This is the only place a
+	// campaign's scenarios are deduped; avgserve's /v1/campaigns runs here.
+	type slot struct {
+		key     string
+		spec    *scenario.Spec
+		outcome *scenario.Outcome
+		cached  bool
+		err     error
+		done    chan struct{}
+	}
 	n := len(c.Scenarios)
-	keys := make([]string, n)
-	specs := make([]*scenario.Spec, n)
+	slots := make([]*slot, n) // by item
+	byKey := make(map[string]*slot, n)
+	var uniq []*slot
 	for i := range c.Scenarios {
 		norm, err := c.Scenarios[i].Spec.Normalize()
 		if err != nil {
@@ -538,25 +549,11 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		specs[i], keys[i] = norm, key
-	}
-
-	// Dedupe equal keys onto one execution slot.
-	type slot struct {
-		outcome *scenario.Outcome
-		cached  bool
-		err     error
-		done    chan struct{}
-	}
-	slots := make(map[string]*slot, n)
-	bySlot := make(map[string]*scenario.Spec, n)
-	var uniq []string
-	for i, key := range keys {
-		if _, ok := slots[key]; !ok {
-			slots[key] = &slot{done: make(chan struct{})}
-			bySlot[key] = specs[i]
-			uniq = append(uniq, key)
+		if byKey[key] == nil {
+			byKey[key] = &slot{key: key, spec: norm, done: make(chan struct{})}
+			uniq = append(uniq, byKey[key])
 		}
+		slots[i] = byKey[key]
 	}
 
 	ctx := opt.Ctx
@@ -565,7 +562,10 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 	}
 	exec := opt.Execute
 	if exec == nil {
-		exec = scenario.Run
+		exec = func(spec *scenario.Spec, o scenario.Options) (*scenario.Outcome, bool, error) {
+			out, err := scenario.Run(spec, o)
+			return out, false, err
+		}
 	}
 	// The campaign span parents one campaign.scenario span per unique
 	// execution slot; the slot's span travels down through the context so
@@ -573,13 +573,12 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 	// under it. All nil no-ops when the caller carries no span.
 	campSpan := obs.FromCtx(opt.Ctx).Span("campaign.run",
 		obs.A("name", c.Name), obs.A("scenarios", n), obs.A("unique", len(uniq)))
-	execute := func(key string, parallelism int) {
-		s := slots[key]
+	execute := func(s *slot, parallelism int) {
 		defer close(s.done)
-		scenSpan := campSpan.Span("campaign.scenario", obs.A("key", key))
+		scenSpan := campSpan.Span("campaign.scenario", obs.A("key", s.key))
 		if opt.Store != nil {
-			gs := scenSpan.Span("store.get", obs.A("key", key))
-			data, ok := opt.Store.Get(key)
+			gs := scenSpan.Span("store.get", obs.A("key", s.key))
+			data, ok := opt.Store.Get(s.key)
 			gs.End(obs.A("hit", ok))
 			if ok {
 				var out scenario.Outcome
@@ -596,11 +595,12 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 			scenSpan.End(obs.A("error", err.Error()))
 			return
 		}
-		out, err := exec(bySlot[key], scenario.Options{
+		out, cached, err := exec(s.spec, scenario.Options{
 			Parallelism: parallelism,
 			Ctx:         obs.With(ctx, scenSpan),
 			Graphs:      opt.Graphs,
 		})
+		s.cached = cached
 		if err != nil {
 			s.err = err
 			scenSpan.End(obs.A("error", err.Error()))
@@ -609,12 +609,12 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 		s.outcome = out
 		if opt.Store != nil {
 			if data, err := out.MarshalStable(); err == nil {
-				ps := scenSpan.Span("store.put", obs.A("key", key))
-				opt.Store.Put(key, data) // a persistence failure is a future miss
+				ps := scenSpan.Span("store.put", obs.A("key", s.key))
+				opt.Store.Put(s.key, data) // a persistence failure is a future miss
 				ps.End()
 			}
 		}
-		scenSpan.End(obs.A("cached", false))
+		scenSpan.End(obs.A("cached", cached))
 	}
 
 	// Scenarios split the budget with their rows × trials exactly as a
@@ -631,12 +631,12 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 
 	runs := make([]ScenarioRun, n)
 	for i := range c.Scenarios {
-		s := slots[keys[i]]
+		s := slots[i]
 		<-s.done
 		runs[i] = ScenarioRun{
 			Index:   i,
 			Name:    c.Scenarios[i].Name,
-			Key:     keys[i],
+			Key:     s.key,
 			Cached:  s.cached,
 			Outcome: s.outcome,
 		}

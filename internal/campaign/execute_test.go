@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"avgloc/internal/resultstore"
 	"avgloc/internal/scenario"
 )
 
@@ -32,9 +33,10 @@ func TestExecuteHookIsTransparent(t *testing.T) {
 	var calls atomic.Int64
 	got, err := Run(c, Options{
 		Parallelism: 2,
-		Execute: func(spec *scenario.Spec, opt scenario.Options) (*scenario.Outcome, error) {
+		Execute: func(spec *scenario.Spec, opt scenario.Options) (*scenario.Outcome, bool, error) {
 			calls.Add(1)
-			return scenario.Run(spec, opt)
+			out, err := scenario.Run(spec, opt)
+			return out, false, err
 		},
 	})
 	if err != nil {
@@ -72,5 +74,61 @@ func TestCancelledContextFailsScenarios(t *testing.T) {
 	}
 	if res.Verdict != Inconclusive {
 		t.Fatalf("verdict = %q, want INCONCLUSIVE", res.Verdict)
+	}
+}
+
+// TestExecuteReportsCached: an Execute that answers from a cache of its own
+// (avgserve's job table) sets Cached on the OnScenario events and on the
+// report's scenarios. A Store, when set, keeps fronting Execute: it is
+// written after each unique run and serves the repeat without calling
+// Execute again.
+func TestExecuteReportsCached(t *testing.T) {
+	c := &Campaign{
+		Name: "exec-cached",
+		Scenarios: []Item{
+			{Name: "a", Spec: scenario.Spec{Graph: "cycle", Params: map[string]float64{"n": 24}, Algorithm: "mis/luby", Trials: 2, Seed: 3}},
+			{Name: "b", Spec: scenario.Spec{Graph: "path", Params: map[string]float64{"n": 24}, Algorithm: "mis/luby", Trials: 2, Seed: 3}},
+		},
+	}
+	var calls atomic.Int64
+	cachedExec := func(spec *scenario.Spec, opt scenario.Options) (*scenario.Outcome, bool, error) {
+		calls.Add(1)
+		out, err := scenario.Run(spec, opt)
+		return out, true, err
+	}
+	run := func(store *resultstore.Store) ([]ScenarioRun, *Report) {
+		t.Helper()
+		var events []ScenarioRun
+		rep, err := Run(c, Options{Parallelism: 2, Store: store, Execute: cachedExec,
+			OnScenario: func(r ScenarioRun) { events = append(events, r) }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return events, rep
+	}
+
+	events, rep := run(nil)
+	for i := range c.Scenarios {
+		if !events[i].Cached || !rep.Scenarios[i].Cached {
+			t.Fatalf("scenario %d: event cached %v, report cached %v; want both true",
+				i, events[i].Cached, rep.Scenarios[i].Cached)
+		}
+	}
+
+	store, err := resultstore.New(16, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	calls.Store(0)
+	run(store)
+	if st := store.Stats(); st.Puts != 2 || calls.Load() != 2 {
+		t.Fatalf("first run with Store: %d puts, %d Execute calls; want 2 and 2", st.Puts, calls.Load())
+	}
+	events, _ = run(store)
+	if calls.Load() != 2 {
+		t.Fatalf("repeat with Store called Execute %d more times, want 0", calls.Load()-2)
+	}
+	if st := store.Stats(); st.Hits != 2 || !events[0].Cached || !events[1].Cached {
+		t.Fatalf("repeat with Store: %d hits, events %+v; want 2 cached hits", st.Hits, events)
 	}
 }

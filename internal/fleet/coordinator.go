@@ -773,26 +773,27 @@ func (c *Coordinator) mergeRun(n *scenario.Spec, r *run) (*scenario.Outcome, err
 // Execute runs the spec across the fleet when workers are attached,
 // falling back to scenario.Run with the caller's options otherwise and on
 // any ErrUnavailable — byte-identity makes the fallback invisible, and the
-// fallback fetches graphs through opt.Graphs like any local run. It has
-// scenario.Run's signature, which campaign.Options.Execute takes (pinned
-// by a compile-time assertion in the tests; fleet must not import
-// campaign), so a coordinator plugs straight into campaign.Run: every
-// scenario of the campaign then draws on this coordinator's single chunk
-// queue — one shared fleet budget — as cmd/avgcampaign's -fleet-listen
-// mode does.
-func (c *Coordinator) Execute(spec *scenario.Spec, opt scenario.Options) (*scenario.Outcome, error) {
+// fallback fetches graphs through opt.Graphs like any local run. Its
+// signature is campaign.Options.Execute's (pinned by a compile-time
+// assertion in the tests; fleet must not import campaign), so a
+// coordinator plugs straight into campaign.Run: every scenario of the
+// campaign then draws on this coordinator's single chunk queue — one
+// shared fleet budget — as cmd/avgcampaign's -fleet-listen mode does.
+// cached is always false: chunk-cache hits still merge into a fresh run.
+func (c *Coordinator) Execute(spec *scenario.Spec, opt scenario.Options) (out *scenario.Outcome, cached bool, err error) {
 	if c.Workers() > 0 {
 		ctx := opt.Ctx
 		if ctx == nil {
 			ctx = context.Background()
 		}
-		out, err := c.RunScenario(ctx, spec)
+		out, err = c.RunScenario(ctx, spec)
 		if err == nil || !errors.Is(err, ErrUnavailable) {
-			return out, err
+			return out, false, err
 		}
 		c.logf("fleet: unavailable (%v), running locally", err)
 	}
-	return scenario.Run(spec, opt)
+	out, err = scenario.Run(spec, opt)
+	return out, false, err
 }
 
 // Handler returns the coordinator's HTTP surface, rooted at /fleet/v1/.

@@ -38,7 +38,7 @@
 // DefaultMaxRetries budget) are reported as ErrUnavailable, distinct from
 // deterministic execution errors: callers such as cmd/avgserve fall back
 // to local execution on ErrUnavailable, which byte-identity makes
-// transparent to clients. Coordinator.Execute has scenario.Run's
-// signature and is that fallback for campaigns: it calls scenario.Run
-// with the caller's options, graph store included.
+// transparent to clients. Coordinator.Execute is campaign.Options.Execute
+// with that fallback built in: it calls scenario.Run with the caller's
+// options, graph store included, and never reports a cached outcome.
 package fleet

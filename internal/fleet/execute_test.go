@@ -24,7 +24,7 @@ func TestExecuteFallsBackLocally(t *testing.T) {
 	spec := scenario.Spec{Graph: "cycle", Params: map[string]float64{"n": 24}, Algorithm: "mis/luby", Trials: 3, Seed: 8}
 	want := localBytes(t, &spec)
 	c := NewCoordinator(fastConfig())
-	out, err := c.Execute(&spec, scenario.Options{Parallelism: 2})
+	out, _, err := c.Execute(&spec, scenario.Options{Parallelism: 2})
 	if err != nil {
 		t.Fatalf("Execute without workers: %v", err)
 	}
@@ -49,7 +49,7 @@ func TestExecuteFallbackUsesCallerGraphs(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := NewCoordinator(fastConfig())
-	out, err := c.Execute(&spec, scenario.Options{Parallelism: 2, Graphs: graphs})
+	out, _, err := c.Execute(&spec, scenario.Options{Parallelism: 2, Graphs: graphs})
 	if err != nil {
 		t.Fatalf("Execute without workers: %v", err)
 	}
@@ -82,7 +82,7 @@ func TestExecuteUsesFleetWhenWorkersAttached(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	out, err := c.Execute(&spec, scenario.Options{Parallelism: 2})
+	out, _, err := c.Execute(&spec, scenario.Options{Parallelism: 2})
 	if err != nil {
 		t.Fatalf("Execute with workers: %v", err)
 	}

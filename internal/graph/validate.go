@@ -204,12 +204,3 @@ func IsProperColoring(g *Graph, color []int, limit int) error {
 	}
 	return nil
 }
-
-// IndependenceNumberUpperBoundByCliqueCover returns an upper bound on the
-// independence number of the subgraph induced by a family of disjoint
-// cliques: the number of cliques. Used to sanity-check the Lemma 13 cluster
-// structure (each cluster of G_k is a union of t disjoint cliques of size
-// beta^i plus a matching, so alpha <= t).
-func IndependenceNumberUpperBoundByCliqueCover(cliques [][]int32) int {
-	return len(cliques)
-}
