@@ -31,7 +31,10 @@
 // graph artifact must be quarantined and rebuilt byte-identically —
 // otherwise the soak exits 1.
 // -out writes the concatenated per-stage report bytes; running twice with
-// the same seed and cmp-ing the files proves the soak itself replays.
+// the same seed and cmp-ing the files proves the reports replay. The
+// fault schedule does not: transport faults draw from one stream in event
+// order, which follows timing, so the fault counts printed differ from run
+// to run; only a key's n-th disk write meets the same fault every time.
 package main
 
 import (
@@ -93,7 +96,7 @@ func stages() []stage {
 // soakCampaign builds the per-stage workload. Spec seeds differ per stage
 // so every stage exercises the dispatch path instead of the previous
 // stage's chunk cache; they are a pure function of (seed, stage), keeping
-// the whole soak replayable. The graphs are random trees, not cycles, on
+// the report bytes replayable. The graphs are random trees, not cycles, on
 // purpose: a Random family's artifact key includes the row seed pair, so
 // every stage writes fresh graph artifacts through the tampered disk hook
 // instead of reusing the calm stage's files — the graph-store quarantine
@@ -123,7 +126,7 @@ func soakCampaign(seed uint64, si, trials int) *campaign.Campaign {
 }
 
 func run() error {
-	seed := flag.Uint64("seed", 1, "master seed for the fault stream and all spec seeds; equal seeds replay the soak")
+	seed := flag.Uint64("seed", 1, "master seed for the fault stream and all spec seeds; equal seeds replay the -out bytes and the fault drawn for each key's n-th disk write; transport faults follow event timing, so fault counts vary")
 	outPath := flag.String("out", "", "write the concatenated per-stage report bytes here (cmp across invocations)")
 	trials := flag.Int("trials", 6, "trials per scenario (chunked at 2 per lease)")
 	nWorkers := flag.Int("workers", 3, "fleet workers")

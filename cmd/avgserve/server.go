@@ -126,10 +126,10 @@ type serverConfig struct {
 }
 
 // newServerCfg starts cfg.workers pool goroutines and returns the ready
-// server. cfg.par is each scenario run's scenario.Options.Parallelism
-// worker budget, split between concurrent sweep rows and per-row trial
-// fan-out; because every random stream is counter-derived from the master
-// seed, responses are bit-identical at any (workers, par) combination.
+// server. cfg.par is each scenario run's scenario.Options.Parallelism:
+// one worker budget per job, shared by its sweep rows and their trials;
+// because every random stream is counter-derived from the master seed,
+// responses are bit-identical at any (workers, par) combination.
 func newServerCfg(cfg serverConfig) *server {
 	if cfg.queueCap <= 0 {
 		cfg.queueCap = 256

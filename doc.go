@@ -64,13 +64,18 @@
 //
 // # Deterministic parallelism
 //
-// core.MeasureRange fans independent trials over a worker pool
-// (MeasureOptions.Parallelism); scenario.Run fans sweep rows out under one
-// budget (Options.Parallelism, split between concurrent rows and per-row
-// trial workers by core.ForEachSplit, which campaign.Run uses one level
-// up for its scenarios). Every random stream is derived from the master seed and
-// the (row, trial) indices alone: identifier permutations and graph
-// generation use counter-keyed PCG streams, while algorithm seeds and
+// campaign.Run's scenarios, scenario.Run's sweep rows and
+// core.MeasureRange's trials run on pools that draw their goroutines from
+// one core.Budget of Parallelism tokens, found through the context that
+// campaign.Run passes down (scenario.Run or MeasureRange called alone
+// makes its own). The goroutine that opens a pool is its first worker,
+// a worker starts a helper whenever it takes an index with more left and
+// a token is free, and a pool's caller lends its token back while it
+// waits, so the nest never runs more than Parallelism workers and no
+// token sits unused while a pool has indices left to hand out. Every
+// random stream is derived from the master seed and the (row, trial)
+// indices alone: identifier permutations and graph generation use
+// counter-keyed PCG streams, while algorithm seeds and
 // per-row measurement seeds go through SplitMix64-finalized counter
 // derivations (internal/seedmix; a plain additive stride would let related
 // master seeds share shifted streams). Outcomes merge in row/trial order,

@@ -164,25 +164,47 @@ func (s *MISSweep) Round(ctx *runtime.Context, inbox []runtime.Message) bool {
 // Joined reports MIS membership; final once the stage is done.
 func (s *MISSweep) Joined() bool { return s.joined }
 
-// LinialSchedule returns the palette sizes of Linial's coloring for nodes
-// with identifiers below space in graphs of maximum degree maxDeg: a pure
-// function so all nodes agree. schedule[0] == space and successive entries
-// are q² for the chosen primes q; the last entry is the final palette size,
-// reached after len(schedule)-1 rounds (O(log* space) many).
-func LinialSchedule(space int64, maxDeg int) []int64 {
+// LinialPlan is the schedule of Linial's coloring that every node of a
+// run shares: the palette sizes, and the prime q and polynomial degree d
+// of each step. It is a pure function of (space, maxDeg), so all nodes
+// agree on it, and a run builds it once from the global N and MaxDegree
+// rather than once per node.
+type LinialPlan struct {
+	sched []int64 // palette sizes: sched[0] == space, sched[t+1] == q[t]²
+	q, d  []int64 // step t reduces palette sched[t] with prime q[t], degree d[t]
+}
+
+// Build fills p with the plan for nodes with identifiers below space in
+// graphs of maximum degree maxDeg, reusing p's storage. The plan runs
+// len(sched)-1 steps (O(log* space) many) to a final palette of O(maxDeg²).
+func (p *LinialPlan) Build(space int64, maxDeg int) {
 	if maxDeg < 1 {
 		maxDeg = 1
 	}
-	sched := []int64{space}
-	cur := space
-	for {
+	p.sched, p.q, p.d = append(p.sched[:0], space), p.q[:0], p.d[:0]
+	for cur := space; ; {
 		q, ok := linialPrime(cur, maxDeg)
 		if !ok || q*q >= cur {
-			return sched
+			return
 		}
+		p.q, p.d = append(p.q, q), append(p.d, polyDegree(cur, q))
 		cur = q * q
-		sched = append(sched, cur)
+		p.sched = append(p.sched, cur)
 	}
+}
+
+// Palette returns the final palette size.
+func (p *LinialPlan) Palette() int64 { return p.sched[len(p.sched)-1] }
+
+// LinialSchedule returns the palette sizes of Linial's coloring for nodes
+// with identifiers below space in graphs of maximum degree maxDeg:
+// schedule[0] == space and successive entries are q² for the chosen
+// primes q; the last entry is the final palette size, reached after
+// len(schedule)-1 rounds.
+func LinialSchedule(space int64, maxDeg int) []int64 {
+	var p LinialPlan
+	p.Build(space, maxDeg)
+	return p.sched
 }
 
 // linialPrime picks the prime q and (implicitly) polynomial degree d used
@@ -241,37 +263,28 @@ func nextPrime(n int64) int64 {
 }
 
 // Linial runs Linial's coloring over the active subgraph: starting from
-// unique identifiers below space, after len(LinialSchedule)-1 exchanges
+// unique identifiers below the plan's space, after len(sched)-1 exchanges
 // every node holds a color in [0, Palette()) proper on the active
 // subgraph, with Palette() = O(maxDeg²). Silent ports are ignored.
 type Linial struct {
-	maxDeg int
-	sched  []int64
-	t      int // index into sched of the palette being reduced; -1 before the first call
-	color  int64
-	nbr    []int64 // scratch: neighbor colors of the current exchange
+	plan  *LinialPlan
+	t     int // index into plan.sched of the palette being reduced; -1 before the first call
+	color int64
 }
 
-// NewLinial returns the Linial stage of the node with identifier id.
-func NewLinial(id, space int64, maxDeg int) Linial {
-	return Linial{maxDeg: maxDeg, sched: LinialSchedule(space, maxDeg), t: -1, color: id}
+// NewLinial returns the Linial stage of the node with identifier id,
+// following plan, which every node of the run shares.
+func NewLinial(id int64, plan *LinialPlan) Linial {
+	return Linial{plan: plan, t: -1, color: id}
 }
 
 // Round advances the stage by one round and reports whether it is done.
 func (s *Linial) Round(ctx *runtime.Context, inbox []runtime.Message) bool {
 	if s.t >= 0 {
-		K := s.sched[s.t]
-		q, _ := linialPrime(K, s.maxDeg)
-		s.nbr = s.nbr[:0]
-		for _, m := range inbox {
-			if m.Kind == kindLinial {
-				s.nbr = append(s.nbr, m.Val)
-			}
-		}
-		s.color = linialStep(s.color, s.nbr, q, polyDegree(K, q))
+		s.color = linialStep(s.color, inbox, s.plan.q[s.t], s.plan.d[s.t])
 	}
 	s.t++
-	if s.t+1 >= len(s.sched) {
+	if s.t+1 >= len(s.plan.sched) {
 		return true
 	}
 	ctx.Broadcast(runtime.Message{Kind: kindLinial, Val: s.color})
@@ -282,23 +295,19 @@ func (s *Linial) Round(ctx *runtime.Context, inbox []runtime.Message) bool {
 func (s *Linial) Color() int64 { return s.color }
 
 // Palette returns the final palette size.
-func (s *Linial) Palette() int64 { return s.sched[len(s.sched)-1] }
+func (s *Linial) Palette() int64 { return s.plan.Palette() }
 
 // linialStep maps color (viewed as a degree-<=d polynomial over GF(q)) to
-// (x, p(x)) for an evaluation point x where it differs from all neighbor
-// polynomials. Such x exists because the at most maxDeg neighbor
-// polynomials each agree with ours on at most d points and maxDeg*d < q.
-func linialStep(color int64, nbr []int64, q, d int64) int64 {
-	self := polyCoeffs(color, q, d)
-	others := make([][]int64, len(nbr))
-	for i, c := range nbr {
-		others[i] = polyCoeffs(c, q, d)
-	}
+// (x, p(x)) for an evaluation point x where it differs from the
+// polynomials of all colors the inbox's Linial messages carry. Such x
+// exists because the at most maxDeg neighbor polynomials each agree with
+// ours on at most d points and maxDeg*d < q.
+func linialStep(color int64, inbox []runtime.Message, q, d int64) int64 {
 	for x := int64(0); x < q; x++ {
-		px := polyEval(self, x, q)
+		px := polyAt(color, x, q, d)
 		ok := true
-		for _, o := range others {
-			if polyEval(o, x, q) == px {
+		for _, m := range inbox {
+			if m.Kind == kindLinial && polyAt(m.Val, x, q, d) == px {
 				ok = false
 				break
 			}
@@ -312,19 +321,18 @@ func linialStep(color int64, nbr []int64, q, d int64) int64 {
 	return color % (q * q)
 }
 
-func polyCoeffs(c, q, d int64) []int64 {
-	coeffs := make([]int64, d+1)
-	for i := range coeffs {
-		coeffs[i] = c % q
-		c /= q
+// polyAt evaluates at x, over GF(q), the polynomial whose coefficients are
+// the d+1 lowest base-q digits of c (the lowest digit is the constant
+// term). At x = 0 that is the lowest digit alone.
+func polyAt(c, x, q, d int64) int64 {
+	if x == 0 {
+		return c % q
 	}
-	return coeffs
-}
-
-func polyEval(coeffs []int64, x, q int64) int64 {
-	var acc int64
-	for i := len(coeffs) - 1; i >= 0; i-- {
-		acc = (acc*x + coeffs[i]) % q
+	var acc, pow int64 = 0, 1
+	for i := int64(0); i <= d; i++ {
+		acc = (acc + c%q*pow) % q
+		c /= q
+		pow = pow * x % q
 	}
 	return acc
 }
@@ -352,13 +360,16 @@ type ReduceColorsKW struct {
 	phase            kwPhase
 	s, c             int64
 	nbr              []int64 // port-indexed last color heard, -1 if none
-	used             []bool  // scratch for smallestFreeIn, len target
+	used             []bool  // scratch for smallestFreeIn
 }
 
 // NewReduceColorsKW returns the reduction stage of a node holding color in
-// a proper q-coloring.
-func NewReduceColorsKW(color, q, target int64) ReduceColorsKW {
-	return ReduceColorsKW{color: color, target: target, K: q}
+// a proper q-coloring. nbr (one entry per port) and used (one more) are
+// the stage's scratch; a run's programs carve them from shared arenas.
+func NewReduceColorsKW(color, q, target int64, nbr []int64, used []bool) ReduceColorsKW {
+	// At most len(nbr) colors are ever marked, so the smallest free color
+	// of a target-wide range lies within its first len(nbr)+1 entries.
+	return ReduceColorsKW{color: color, target: target, K: q, nbr: nbr, used: used[:min(int64(len(used)), target)]}
 }
 
 // Round advances the stage by one round and reports whether it is done.
@@ -367,11 +378,9 @@ func (s *ReduceColorsKW) Round(ctx *runtime.Context, inbox []runtime.Message) bo
 		if s.K <= s.target {
 			return true
 		}
-		s.nbr = make([]int64, ctx.View().Degree)
 		for p := range s.nbr {
 			s.nbr[p] = -1
 		}
-		s.used = make([]bool, s.target)
 		s.phase = kwExchange
 		ctx.Broadcast(runtime.Message{Kind: kindReduce, Val: s.color})
 		return false
@@ -438,15 +447,17 @@ func (s *ReduceColorsKW) Color() int64 { return s.color }
 
 // smallestFreeIn returns the smallest color in [lo, hi) unused by the
 // cached active-neighbor colors. Callers pass hi-lo == target, which
-// exceeds the active degree.
+// exceeds the active degree; only the first len(used) colors of the
+// range can be the answer.
 func (s *ReduceColorsKW) smallestFreeIn(lo, hi int64) int64 {
 	clear(s.used)
+	end := lo + int64(len(s.used))
 	for _, c := range s.nbr {
-		if c >= lo && c < hi {
+		if c >= lo && c < end {
 			s.used[c-lo] = true
 		}
 	}
-	for c := lo; c < hi; c++ {
+	for c := lo; c < end; c++ {
 		if !s.used[c-lo] {
 			return c
 		}
@@ -462,26 +473,63 @@ const (
 	misSweep
 )
 
+// MISArena holds what the MIS stages of one run's programs share: the
+// Linial plan for identifiers below max(n², 4), the reduction target Δ+1,
+// and the arenas the stages' scratch is carved from. An algorithm keeps
+// it in its slab, so an engine re-running it allocates nothing.
+type MISArena struct {
+	lin    LinialPlan
+	target int64
+	nbr    []int64
+	used   []bool
+}
+
+// Fill builds the plan from the views' global N and MaxDegree, and sets
+// *stage(v) to the MIS stage of views[v] for every v, each with its own
+// slice of the arena's scratch.
+func (a *MISArena) Fill(views []runtime.NodeView, stage func(v int) *MIS) {
+	arcs := 0
+	for v := range views {
+		arcs += views[v].Degree
+	}
+	a.nbr = runtime.Reslice(a.nbr, arcs)
+	a.used = runtime.Reslice(a.used, arcs+len(views))
+	if len(views) == 0 {
+		return
+	}
+	n, maxDeg := views[0].N, views[0].MaxDegree
+	space := int64(n) * int64(n)
+	if space < 4 {
+		space = 4
+	}
+	a.lin.Build(space, maxDeg)
+	a.target = int64(maxDeg + 1)
+	nbr, used := a.nbr, a.used
+	for v := range views {
+		deg := views[v].Degree
+		*stage(v) = MIS{
+			target: a.target,
+			lin:    NewLinial(views[v].ID, &a.lin),
+			nbr:    nbr[:deg:deg],
+			used:   used[: deg+1 : deg+1],
+		}
+		nbr, used = nbr[deg:], used[deg+1:]
+	}
+}
+
 // MIS is the deterministic MIS of the active subgraph via coloring:
 // Linial's O(Δ²)-coloring from identifiers below max(n², 4), the
 // Kuhn–Wattenhofer reduction to Δ+1 colors when Linial's palette is
-// larger, and a sweep over the color classes ([BEK15] shape).
+// larger, and a sweep over the color classes ([BEK15] shape). Build the
+// stages of a run with MISArena.Fill.
 type MIS struct {
 	phase  misPhase
 	target int64
 	lin    Linial
 	kw     ReduceColorsKW
 	sweep  MISSweep
-}
-
-// NewMIS returns the MIS stage of the node with identifier id in an n-node
-// graph of maximum degree maxDeg.
-func NewMIS(id int64, n, maxDeg int) MIS {
-	space := int64(n) * int64(n)
-	if space < 4 {
-		space = 4
-	}
-	return MIS{target: int64(maxDeg + 1), lin: NewLinial(id, space, maxDeg)}
+	nbr    []int64 // the reduction's scratch
+	used   []bool
 }
 
 // Round advances the stage by one round and reports whether it is done.
@@ -494,7 +542,7 @@ func (s *MIS) Round(ctx *runtime.Context, inbox []runtime.Message) bool {
 			}
 			color, palette := s.lin.Color(), s.lin.Palette()
 			if palette > s.target {
-				s.kw = NewReduceColorsKW(color, palette, s.target)
+				s.kw = NewReduceColorsKW(color, palette, s.target, s.nbr, s.used)
 				s.phase = misReduce
 			} else {
 				s.sweep = NewMISSweep(int(palette), int(color))

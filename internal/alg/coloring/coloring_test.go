@@ -84,7 +84,9 @@ var linialAlg = runtimetest.Algorithm("test/linial", func(view runtime.NodeView)
 	if space < 4 {
 		space = 4
 	}
-	lin := coloring.NewLinial(view.ID, space, view.MaxDegree)
+	var plan coloring.LinialPlan
+	plan.Build(space, view.MaxDegree)
+	lin := coloring.NewLinial(view.ID, &plan)
 	var kw coloring.ReduceColorsKW
 	reducing := false
 	return func(ctx *runtime.Context, inbox []runtime.Message) {
@@ -93,7 +95,8 @@ var linialAlg = runtimetest.Algorithm("test/linial", func(view runtime.NodeView)
 				return
 			}
 			reducing = true
-			kw = coloring.NewReduceColorsKW(lin.Color(), lin.Palette(), int64(view.MaxDegree+1))
+			kw = coloring.NewReduceColorsKW(lin.Color(), lin.Palette(), int64(view.MaxDegree+1),
+				make([]int64, view.Degree), make([]bool, view.Degree+1))
 			inbox = nil
 		}
 		if kw.Round(ctx, inbox) {

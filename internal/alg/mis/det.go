@@ -16,13 +16,24 @@ type Det struct{}
 // Name implements runtime.Algorithm.
 func (Det) Name() string { return "mis/det-coloring" }
 
+// detSlab holds a Det run's programs and the arena of their MIS stages.
+type detSlab struct {
+	nodes []detNode
+	mis   coloring.MISArena
+}
+
 // Nodes implements runtime.Algorithm.
 func (Det) Nodes(views []runtime.NodeView, progs []runtime.Program, slab any) any {
-	nodes := runtime.Slab[detNode](progs, slab)
-	for v := range *nodes {
-		(*nodes)[v].mis = coloring.NewMIS(views[v].ID, views[v].N, views[v].MaxDegree)
+	s, _ := slab.(*detSlab)
+	if s == nil {
+		s = new(detSlab)
 	}
-	return nodes
+	s.nodes = runtime.Reslice(s.nodes, len(views))
+	s.mis.Fill(views, func(v int) *coloring.MIS { return &s.nodes[v].mis })
+	for v := range s.nodes {
+		progs[v] = &s.nodes[v]
+	}
+	return s
 }
 
 type detNode struct{ mis coloring.MIS }

@@ -69,6 +69,9 @@ func (r RandMarking) Run(g *graph.Graph, ids []int64, seed uint64) (*runtime.Res
 
 	marks := make([]int8, m)
 	marker := make([]int32, m)
+	search := newPoolSearch(n, m)
+	snapshot := make([]bool, n)
+	var pool []int32
 	for phase := 0; phase < phaseCap && left > 0; phase++ {
 		for e := range marks {
 			marks[e] = 0
@@ -78,7 +81,7 @@ func (r RandMarking) Run(g *graph.Graph, ids []int64, seed uint64) (*runtime.Res
 			if satisfied[v] {
 				continue
 			}
-			pool := poolEdges(g, toward, v)
+			pool = poolEdges(pool[:0], g, toward, v)
 			e := pool[rngs[v].IntN(len(pool))]
 			if marks[e] < 2 {
 				marks[e]++
@@ -100,7 +103,7 @@ func (r RandMarking) Run(g *graph.Graph, ids []int64, seed uint64) (*runtime.Res
 			if from == v {
 				to = u
 			}
-			if !orientationSafe(g, toward, satisfied, e, to) {
+			if !search.orientationSafe(g, toward, satisfied, e, to) {
 				continue // would strand an all-unsatisfied tree; retry later
 			}
 			toward[e] = int32(to)
@@ -114,7 +117,6 @@ func (r RandMarking) Run(g *graph.Graph, ids []int64, seed uint64) (*runtime.Res
 		// anchor. Then every unoriented edge between two satisfied nodes
 		// is defaulted toward the higher identifier; its orientation is
 		// fixed as of now.
-		snapshot := make([]bool, n)
 		copy(snapshot, satisfied)
 		for v := 0; v < n; v++ {
 			if snapshot[v] {
@@ -176,8 +178,8 @@ func (r RandMarking) Run(g *graph.Graph, ids []int64, seed uint64) (*runtime.Res
 	return s.Result()
 }
 
-func poolEdges(g *graph.Graph, toward []int32, v int) []int32 {
-	var pool []int32
+// poolEdges appends v's unoriented edges to pool.
+func poolEdges(pool []int32, g *graph.Graph, toward []int32, v int) []int32 {
 	for _, e := range g.EdgeIDs(v) {
 		if toward[e] < 0 {
 			pool = append(pool, e)
@@ -186,44 +188,57 @@ func poolEdges(g *graph.Graph, toward []int32, v int) []int32 {
 	return pool
 }
 
+// poolSearch is orientationSafe's scratch, allocated once per Run: a
+// search stamps the nodes and edges it reaches with its own epoch, so no
+// search clears or allocates anything.
+type poolSearch struct {
+	epoch    uint32
+	nodeMark []uint32
+	edgeMark []uint32
+	queue    []int32
+}
+
+func newPoolSearch(n, m int) *poolSearch {
+	return &poolSearch{nodeMark: make([]uint32, n), edgeMark: make([]uint32, m), queue: make([]int32, 0, n)}
+}
+
 // orientationSafe reports whether orienting edge e toward `to` keeps the
 // invariant: the pool component of `to` (after removing e) must contain a
 // satisfied node or a cycle. The marker's side always stays safe because
-// the marker becomes satisfied.
-func orientationSafe(g *graph.Graph, toward []int32, satisfied []bool, e, to int) bool {
-	// BFS over pool edges from `to`, pretending e is gone.
-	visitedNodes := map[int]bool{to: true}
-	visitedEdges := map[int]bool{e: true}
-	queue := []int{to}
-	nodes, edges := 1, 0
-	anchored := false
-	for len(queue) > 0 {
-		x := queue[0]
-		queue = queue[1:]
+// the marker becomes satisfied. The BFS from `to` stops at the first
+// satisfied node, and at the first pool edge that reaches an
+// already-reached node: that edge closes a cycle. A component that
+// yields neither is an all-unsatisfied tree.
+func (ps *poolSearch) orientationSafe(g *graph.Graph, toward []int32, satisfied []bool, e, to int) bool {
+	if ps.epoch++; ps.epoch == 0 { // wrapped: old stamps could collide
+		clear(ps.nodeMark)
+		clear(ps.edgeMark)
+		ps.epoch = 1
+	}
+	ep := ps.epoch
+	ps.edgeMark[e] = ep // pretend e is gone
+	ps.nodeMark[to] = ep
+	ps.queue = append(ps.queue[:0], int32(to))
+	for head := 0; head < len(ps.queue); head++ {
+		x := int(ps.queue[head])
 		if satisfied[x] {
-			anchored = true
-			break
+			return true
 		}
 		for p := 0; p < g.Deg(x); p++ {
 			ex := g.EdgeID(x, p)
-			if toward[ex] >= 0 || visitedEdges[ex] {
+			if toward[ex] >= 0 || ps.edgeMark[ex] == ep {
 				continue
 			}
-			visitedEdges[ex] = true
-			edges++
+			ps.edgeMark[ex] = ep
 			u := g.Neighbor(x, p)
-			if !visitedNodes[u] {
-				visitedNodes[u] = true
-				nodes++
-				queue = append(queue, u)
+			if ps.nodeMark[u] == ep {
+				return true
 			}
+			ps.nodeMark[u] = ep
+			ps.queue = append(ps.queue, int32(u))
 		}
 	}
-	if anchored {
-		return true
-	}
-	// All-unsatisfied component: safe iff it has a cycle (edges >= nodes).
-	return edges >= nodes
+	return false
 }
 
 // finishFromAnchors deterministically satisfies the remaining nodes: each

@@ -192,11 +192,12 @@ const (
 	kindRemoved                               // I left the pseudoforest
 )
 
-// detSlab holds a Det run's programs and their port-indexed children
-// flags.
+// detSlab holds a Det run's programs, their port-indexed children flags
+// and the arena of their finisher MIS stages.
 type detSlab struct {
 	nodes    []detNode
 	children []bool
+	mis      coloring.MISArena
 }
 
 // Nodes implements runtime.Algorithm.
@@ -235,6 +236,10 @@ func (d Det) Nodes(views []runtime.NodeView, progs []runtime.Program, slab any) 
 		children = children[deg:]
 		progs[v] = &s.nodes[v]
 	}
+	// The finisher's MIS stages are fixed by the views alone, so they are
+	// built here, where they share one plan, and stay untouched until
+	// phaseFinish.
+	s.mis.Fill(views, func(v int) *coloring.MIS { return &s.nodes[v].mis })
 	return s
 }
 
@@ -419,7 +424,6 @@ func (n *detNode) nextIteration() {
 		n.phase = phaseCensus
 		return
 	}
-	n.mis = coloring.NewMIS(n.view.ID, n.view.N, n.view.MaxDegree)
 	n.phase = phaseFinish
 }
 

@@ -18,10 +18,10 @@
 // ≤ 1): "randomized matching finishes on average no later than the
 // deterministic rounding algorithm" is `{"compare_to": "det", "op": "le"}`.
 //
-// Execution is deterministic: scenarios run concurrently under one
-// Parallelism budget with the same row/trial splitting as the scenario
-// layer, outcomes and verdicts merge in campaign order, and MarshalStable
-// output is byte-identical at every parallelism level.
+// Execution is deterministic: scenarios, their rows and the rows' trials
+// run concurrently on one core.Budget of Parallelism workers, outcomes and
+// verdicts merge in campaign order, and MarshalStable output is
+// byte-identical at every parallelism level.
 package campaign
 
 import (
@@ -487,9 +487,10 @@ func evalCompare(h *Hypothesis, out *scenario.Outcome, other *ScenarioRun) (Verd
 
 // Options configures campaign execution.
 type Options struct {
-	// Parallelism is the total worker budget, split between concurrent
-	// scenarios and each scenario's row/trial fan-out exactly like the
-	// scenario layer splits rows×trials.
+	// Parallelism is the campaign's worker budget: one core.Budget of
+	// Parallelism tokens that the scenario pool, every scenario's row
+	// pool and every row's trial pool draw on, so a worker freed by a
+	// short scenario helps with a long one's rows and trials.
 	Parallelism int
 	// Store, if non-nil, fronts every execution: outcomes are served from
 	// it byte-identically when present and written through after a run.
@@ -503,9 +504,9 @@ type Options struct {
 	// the store, so a retry resumes from cache.
 	Ctx context.Context
 	// Execute, if non-nil, replaces scenario.Run on Store misses. It gets
-	// the normalized spec and scenario options carrying the campaign
-	// context, the per-scenario slice of the Parallelism budget and Graphs,
-	// and reports whether its outcome came from a cache of its own. The
+	// the normalized spec and scenario options carrying Parallelism, Graphs
+	// and the campaign context, which carries the campaign's budget, and
+	// reports whether its outcome came from a cache of its own. The
 	// fleet coordinator plugs in here (one shared fleet budget), and so
 	// does avgserve's job table, which owns its result store; every
 	// executor is byte-identical to scenario.Run.
@@ -520,7 +521,7 @@ type Options struct {
 
 // Run executes the campaign and evaluates its hypotheses. Scenarios with
 // equal cache keys execute once (intra-campaign dedupe); distinct
-// scenarios run concurrently under the Parallelism budget. The returned
+// scenarios run concurrently on the Parallelism budget. The returned
 // report is byte-identical (MarshalStable) at every parallelism level.
 func Run(c *Campaign, opt Options) (*Report, error) {
 	if err := c.Validate(); err != nil {
@@ -556,10 +557,10 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 		slots[i] = byKey[key]
 	}
 
-	ctx := opt.Ctx
-	if ctx == nil {
-		ctx = context.Background()
-	}
+	// One budget for the whole nest: the scenario pool below, and the row
+	// and trial pools scenario.Run opens, find it through ctx.
+	budget := core.NewBudget(opt.Parallelism)
+	ctx := core.WithBudget(opt.Ctx, budget)
 	exec := opt.Execute
 	if exec == nil {
 		exec = func(spec *scenario.Spec, o scenario.Options) (*scenario.Outcome, bool, error) {
@@ -573,7 +574,7 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 	// under it. All nil no-ops when the caller carries no span.
 	campSpan := obs.FromCtx(opt.Ctx).Span("campaign.run",
 		obs.A("name", c.Name), obs.A("scenarios", n), obs.A("unique", len(uniq)))
-	execute := func(s *slot, parallelism int) {
+	execute := func(s *slot) {
 		defer close(s.done)
 		scenSpan := campSpan.Span("campaign.scenario", obs.A("key", s.key))
 		if opt.Store != nil {
@@ -596,7 +597,7 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 			return
 		}
 		out, cached, err := exec(s.spec, scenario.Options{
-			Parallelism: parallelism,
+			Parallelism: opt.Parallelism,
 			Ctx:         obs.With(ctx, scenSpan),
 			Graphs:      opt.Graphs,
 		})
@@ -617,15 +618,17 @@ func Run(c *Campaign, opt Options) (*Report, error) {
 		scenSpan.End(obs.A("cached", cached))
 	}
 
-	// Scenarios split the budget with their rows × trials exactly as a
-	// scenario splits it between rows and trials. The pool runs beside the
-	// loop below, which streams completions in campaign order.
+	// The scenario pool runs beside the loop below, which streams
+	// completions in campaign order; its goroutine holds the budget's
+	// first token.
 	poolDone := make(chan struct{})
 	go func() {
 		defer close(poolDone)
-		core.ForEachSplit(len(uniq), opt.Parallelism, func(i, parallelism int) error {
-			execute(uniq[i], parallelism) // errors stay in the slot
-			return nil
+		budget.ForEach(len(uniq), func() func(int) error {
+			return func(i int) error {
+				execute(uniq[i]) // errors stay in the slot
+				return nil
+			}
 		})
 	}()
 

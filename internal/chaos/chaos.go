@@ -8,14 +8,18 @@
 // duplicate deliveries, torn or corrupted or missing cache files.
 //
 // Every decision derives via internal/seedmix from a single master seed,
-// and every fault site draws a fixed number of variates per event, so a
-// chaos run is parameterized by (seed, Plan) alone. Transport decisions
-// come from one shared stream; a disk write's decision is a pure function
-// of (seed, key, that key's write count), so which cache files are
-// corrupted does not depend on goroutine interleaving. The property under
-// test is the stack's headline guarantee: the merged output of a faulted
-// fleet run is byte-identical to a fault-free local run (cmd/avgchaos
-// drives exactly that comparison).
+// and every fault site draws a fixed number of variates per event. What a
+// seed replays differs by seam. A disk write's decision is a pure
+// function of (seed, key, that key's write count), so the n-th write of a
+// key meets the same fault on every run, whatever the goroutine
+// interleaving. Transport decisions come from one shared stream in event
+// order, and the events (polls, heartbeats, retries, steals) follow
+// goroutine scheduling and timers, so which round trips fail, and the
+// per-class fault counts, differ from run to run at the same seed. The
+// property under test is the stack's headline guarantee, which holds for
+// every such draw: the merged output of a faulted fleet run is
+// byte-identical to a fault-free local run (cmd/avgchaos drives exactly
+// that comparison, and its -out bytes replay at equal seeds).
 package chaos
 
 import (

@@ -6,10 +6,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand/v2"
-	"sync"
-	"sync/atomic"
 
 	"avgloc/internal/alg/matching"
 	"avgloc/internal/alg/mis"
@@ -225,12 +224,16 @@ type MeasureOptions struct {
 	Trials int    // number of independent trials (default 1)
 	Seed   uint64 // master seed for identifiers and algorithm randomness
 	// Parallelism is the number of worker goroutines executing trials
-	// (default 1: sequential). Every per-trial random stream — the
-	// identifier permutation and the algorithm seed — is derived from the
-	// master seed and the trial index alone (counter-based PCG streams), and
-	// trial outcomes are merged in trial order, so the Report is
-	// bit-identical for every parallelism level.
+	// (default 1: sequential) when Ctx carries no Budget. Every per-trial
+	// random stream — the identifier permutation and the algorithm seed —
+	// is derived from the master seed and the trial index alone
+	// (counter-based PCG streams), and trial outcomes are merged in trial
+	// order, so the Report is bit-identical for every parallelism level.
 	Parallelism int
+	// Ctx, if it carries a Budget (WithBudget), makes the trial pool draw
+	// its workers from that budget instead of Parallelism: a scenario's
+	// rows and their trials then share one budget.
+	Ctx context.Context
 }
 
 // trialSeedDomain separates the algorithm-seed streams from every other
@@ -294,9 +297,10 @@ func Meta(g *graph.Graph, prob Problem, runner Runner) ReportMeta {
 // same identifier permutation and algorithm seed whether it runs in a full
 // [0, trials) sweep or in a one-trial chunk on another machine, which is
 // what lets a fleet partition a trial set arbitrarily and still merge
-// bit-identically. opt.Trials is ignored; opt.Parallelism fans the range
-// out over a worker pool (outcome-indistinguishable from sequential). The
-// returned error is the lowest-indexed trial's error.
+// bit-identically. opt.Trials is ignored; the range fans out over a worker
+// pool on opt.Ctx's budget, or on one of opt.Parallelism tokens
+// (outcome-indistinguishable from sequential). The returned error is the
+// lowest-indexed trial's error.
 func MeasureRange(g *graph.Graph, prob Problem, runner Runner, opt MeasureOptions, lo, hi int) ([]TrialOutcome, error) {
 	if lo < 0 || hi <= lo {
 		return nil, fmt.Errorf("core: invalid trial range [%d, %d)", lo, hi)
@@ -343,7 +347,8 @@ func MeasureRange(g *graph.Graph, prob Problem, runner Runner, opt MeasureOption
 	}
 	// One engine per worker: an engine's arenas are reused across the
 	// trials that worker runs.
-	err := ForEach(count, opt.Parallelism, func() func(int) error {
+	budget, _ := BudgetFrom(opt.Ctx, opt.Parallelism)
+	err := budget.ForEach(count, func() func(int) error {
 		eng := newEngine()
 		return func(i int) (err error) {
 			outcomes[i], err = runTrial(lo+i, eng)
@@ -354,75 +359,6 @@ func MeasureRange(g *graph.Graph, prob Problem, runner Runner, opt MeasureOption
 		return nil, err
 	}
 	return outcomes, nil
-}
-
-// ForEach runs job(i) for every i in [0, n) on up to workers goroutines;
-// newJob is called once per worker, so a job can own per-worker state. With
-// one worker the indices run in order and stop at the first error. With
-// more, indices above the lowest failing one may be skipped: callers read
-// results in index order and stop at the first error, so skipped results
-// are never read. Indices below it still run, since one of them failing
-// would change the reported error. The returned error is the
-// lowest-indexed one, independent of scheduling.
-func ForEach(n, workers int, newJob func() func(i int) error) error {
-	workers = max(min(workers, n), 1)
-	errs := make([]error, n)
-	if workers == 1 {
-		job := newJob()
-		for i := 0; i < n; i++ {
-			if errs[i] = job(i); errs[i] != nil {
-				break // later indices cannot change the reported error
-			}
-		}
-	} else {
-		idx := make(chan int)
-		var minFailed atomic.Int64
-		minFailed.Store(int64(n))
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				job := newJob()
-				for i := range idx {
-					if int64(i) > minFailed.Load() {
-						continue
-					}
-					if errs[i] = job(i); errs[i] != nil {
-						for cur := minFailed.Load(); int64(i) < cur; cur = minFailed.Load() {
-							if minFailed.CompareAndSwap(cur, int64(i)) {
-								break
-							}
-						}
-					}
-				}
-			}()
-		}
-		for i := 0; i < n; i++ {
-			idx <- i
-		}
-		close(idx)
-		wg.Wait()
-	}
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ForEachSplit runs job(i, inner) for every i in [0, n) on ForEach and
-// splits a worker budget between the two levels: up to min(workers, n)
-// jobs run at once, and each gets inner = workers / that as its own fan-out,
-// so the product never exceeds the budget. Scenario rows × trials and
-// campaign scenarios × rows both split this way.
-func ForEachSplit(n, workers int, job func(i, inner int) error) error {
-	workers = max(workers, 1)
-	inner := max(workers/max(min(workers, n), 1), 1)
-	return ForEach(n, workers, func() func(int) error {
-		return func(i int) error { return job(i, inner) }
-	})
 }
 
 // MergeTrials aggregates complete trial outcomes (trial order, covering the

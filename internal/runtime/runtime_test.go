@@ -439,16 +439,18 @@ func TestArcBuffersOnlyForSends(t *testing.T) {
 }
 
 // TestRunAllocsIndependentOfN pins the engine's allocation-free round
-// loop: on a reused engine a run of each randomized algorithm allocates
-// the same number of objects (the Result and its columns) on a 1024-node
-// and an 8192-node graph. A per-node program, a boxed message or per-phase
-// scratch would make the count grow with n.
+// loop: on a reused engine a run of each randomized algorithm, and of the
+// deterministic stage programs, allocates the same number of objects (the
+// Result and its columns) on a 1024-node and an 8192-node graph. A
+// per-node program, a boxed message, per-phase scratch or a per-node
+// Linial schedule would make the count grow with n.
 func TestRunAllocsIndependentOfN(t *testing.T) {
 	rng := rand.New(rand.NewPCG(41, 42))
 	small, large := graph.RandomRegular(1024, 8, rng), graph.RandomRegular(8192, 8, rng)
 	for _, alg := range []runtime.Algorithm{
 		mis.Luby{}, mis.Ghaffari{}, ruling.Rand22{},
 		matching.IsraeliItai{}, matching.RandLuby{}, coloring.RandGreedy{},
+		mis.Det{}, ruling.Det{}, ruling.Det{Variant: ruling.LogLogN},
 	} {
 		var allocs [2]float64
 		for i, g := range []*graph.Graph{small, large} {

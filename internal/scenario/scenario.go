@@ -234,11 +234,13 @@ func (o *Outcome) MarshalStable() ([]byte, error) {
 
 // Options configures execution.
 type Options struct {
-	// Parallelism is the total worker budget of the run, split between
-	// concurrent sweep rows and each row's core.Measure trial fan-out
-	// (rowWorkers × trial parallelism ≤ Parallelism). Every random stream
-	// is derived from (seed, row, trial) alone and rows merge in row
-	// order, so outcomes are byte-identical at every level.
+	// Parallelism is the run's worker budget when Ctx carries no
+	// core.Budget: one core.Budget of Parallelism tokens that the row pool
+	// and every row's trial pool draw on, so a worker freed by a finished
+	// row helps with another row's trials. Under campaign.Run, Ctx carries
+	// the campaign's budget instead. Every random stream is derived from
+	// (seed, row, trial) alone and rows merge in row order, so outcomes
+	// are byte-identical at every level.
 	Parallelism int
 	// Ctx, if non-nil, cancels the run between rows: a cancelled request
 	// (client gone, deadline hit) stops paying for rows whose results
@@ -276,10 +278,11 @@ func rowSeed(seed uint64, row int) uint64 {
 }
 
 // Run executes the scenario: each row builds its graph from a row-derived
-// seed stream and measures under a row-derived measurement seed, rows run
-// concurrently under the Options.Parallelism worker budget, and results
-// merge in row order. The outcome depends only on (normalized spec, seed,
-// registry contents) — never on scheduling — so it can be cached under Key.
+// seed stream and measures under a row-derived measurement seed, rows and
+// their trials run concurrently on one worker budget (Options.Parallelism),
+// and results merge in row order. The outcome depends only on (normalized
+// spec, seed, registry contents) — never on scheduling — so it can be
+// cached under Key.
 func Run(s *Spec, opt Options) (*Outcome, error) {
 	n, err := s.Normalize()
 	if err != nil {
@@ -295,25 +298,28 @@ func Run(s *Spec, opt Options) (*Outcome, error) {
 	// every call below a no-op.
 	runSpan := obs.FromCtx(opt.Ctx).Span("scenario.run",
 		obs.A("hash", hash), obs.A("rows", len(rows)), obs.A("trials", n.Trials))
-	err = core.ForEachSplit(len(rows), opt.Parallelism, func(i, measurePar int) error {
-		if opt.Ctx != nil && opt.Ctx.Err() != nil {
-			return opt.Ctx.Err()
+	budget, ctx := core.BudgetFrom(opt.Ctx, opt.Parallelism)
+	err = budget.ForEach(len(rows), func() func(int) error {
+		return func(i int) error {
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			rowSpan := runSpan.Span("scenario.row", obs.A("row", i))
+			rowOpt := opt
+			rowOpt.Ctx = obs.With(ctx, rowSpan)
+			// The row is one chunk covering every trial, merged inside this
+			// worker, so no row's per-trial outcomes outlive the row.
+			c, err := measureRow(n, i, 0, n.Trials, rowOpt)
+			if err == nil {
+				rows[i], err = n.mergeRow(i, []*Chunk{c})
+			}
+			if err != nil {
+				rowSpan.End(obs.A("error", err.Error()))
+				return err
+			}
+			rowSpan.End(obs.A("nodes", rows[i].Nodes), obs.A("edges", rows[i].Edges))
+			return nil
 		}
-		rowSpan := runSpan.Span("scenario.row", obs.A("row", i), obs.A("parallelism", measurePar))
-		rowOpt := opt
-		rowOpt.Ctx, rowOpt.Parallelism = obs.With(opt.Ctx, rowSpan), measurePar
-		// The row is one chunk covering every trial, merged inside this
-		// worker, so no row's per-trial outcomes outlive the row.
-		c, err := measureRow(n, i, 0, n.Trials, rowOpt)
-		if err == nil {
-			rows[i], err = n.mergeRow(i, []*Chunk{c})
-		}
-		if err != nil {
-			rowSpan.End(obs.A("error", err.Error()))
-			return err
-		}
-		rowSpan.End(obs.A("nodes", rows[i].Nodes), obs.A("edges", rows[i].Edges))
-		return nil
 	})
 	if err != nil {
 		runSpan.End(obs.A("error", err.Error()))
@@ -338,8 +344,8 @@ func (n *Spec) rowParams(i int) registry.Values {
 // `row` of the normalized spec n. It fetches the row's graph from the
 // store under graphSeeds — so rows across specs, batches, campaigns and
 // fleet workers share one build — and measures under rowSeed.
-// opt.Parallelism fans the trials out; opt.Ctx parents the graph.build and
-// graph.load spans.
+// The trials fan out on opt.Ctx's budget, or on one of opt.Parallelism
+// tokens; opt.Ctx also parents the graph.build and graph.load spans.
 func measureRow(n *Spec, row, lo, hi int, opt Options) (*Chunk, error) {
 	entry, err := registry.FindAlgorithm(n.Algorithm)
 	if err != nil {
@@ -358,6 +364,7 @@ func measureRow(n *Spec, row, lo, hi int, opt Options) (*Chunk, error) {
 	outs, err := core.MeasureRange(g, problem, runner, core.MeasureOptions{
 		Seed:        rowSeed(n.Seed, row),
 		Parallelism: opt.Parallelism,
+		Ctx:         opt.Ctx,
 	}, lo, hi)
 	if err != nil {
 		return nil, fmt.Errorf("scenario: row %d (%s on %s): %w", row, n.Algorithm, g, err)

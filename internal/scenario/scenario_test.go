@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"sync"
 	"testing"
 	"time"
 
@@ -230,8 +229,8 @@ func TestSweepRowsDivergentRandomness(t *testing.T) {
 
 // TestRunByteIdenticalAcrossParallelism is the determinism contract of the
 // concurrent row scheduler: a ≥8-row sweep marshals byte-identically at
-// every worker budget, including budgets that split between rows and
-// per-row trials.
+// every worker budget, including budgets whose tokens move between rows
+// and per-row trials.
 func TestRunByteIdenticalAcrossParallelism(t *testing.T) {
 	spec := &Spec{
 		Graph:     "regular",
@@ -272,13 +271,15 @@ func TestRunRowsConcurrent(t *testing.T) {
 	for i := range started {
 		started[i] = make(chan struct{})
 	}
-	err := core.ForEachSplit(2, 2, func(row, _ int) error {
-		close(started[row])
-		select {
-		case <-started[1-row]:
-			return nil
-		case <-time.After(10 * time.Second):
-			return fmt.Errorf("row %d never saw its peer start: rows are sequential", row)
+	err := core.NewBudget(2).ForEach(2, func() func(int) error {
+		return func(row int) error {
+			close(started[row])
+			select {
+			case <-started[1-row]:
+				return nil
+			case <-time.After(10 * time.Second):
+				return fmt.Errorf("row %d never saw its peer start: rows are sequential", row)
+			}
 		}
 	})
 	if err != nil {
@@ -286,45 +287,17 @@ func TestRunRowsConcurrent(t *testing.T) {
 	}
 }
 
-// TestRunRowsBudgetSplit: the worker budget splits between row workers and
-// per-row measurement parallelism, and never exceeds the total.
-func TestRunRowsBudgetSplit(t *testing.T) {
-	cases := []struct {
-		rows, workers, wantPar int
-	}{
-		{8, 1, 1},   // one worker: rows run sequentially
-		{2, 8, 4},   // 2 row workers × 4 trial workers
-		{8, 8, 1},   // all budget to row fan-out
-		{3, 8, 2},   // 3 row workers, 8/3 = 2 each
-		{8, 0, 1},   // no budget = sequential
-		{1, 16, 16}, // single row gets everything
-	}
-	for _, c := range cases {
-		var mu sync.Mutex
-		got := map[int]bool{}
-		if err := core.ForEachSplit(c.rows, c.workers, func(_, measurePar int) error {
-			mu.Lock()
-			got[measurePar] = true
-			mu.Unlock()
-			return nil
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != 1 || !got[c.wantPar] {
-			t.Fatalf("rows=%d workers=%d: measure parallelism %v, want %d", c.rows, c.workers, got, c.wantPar)
-		}
-	}
-}
-
 // TestRunRowsFirstErrorWins: the lowest-indexed error is returned whatever
 // the scheduling.
 func TestRunRowsFirstErrorWins(t *testing.T) {
 	for _, workers := range []int{1, 4} {
-		err := core.ForEachSplit(8, workers, func(row, _ int) error {
-			if row >= 2 {
-				return fmt.Errorf("row %d failed", row)
+		err := core.NewBudget(workers).ForEach(8, func() func(int) error {
+			return func(row int) error {
+				if row >= 2 {
+					return fmt.Errorf("row %d failed", row)
+				}
+				return nil
 			}
-			return nil
 		})
 		if err == nil || err.Error() != "row 2 failed" {
 			t.Fatalf("workers=%d: got %v, want row 2's error", workers, err)
