@@ -65,10 +65,6 @@ type server struct {
 	queueCap int
 	retain   int // finished jobs kept for polling before pruning
 	coord    *fleet.Coordinator
-	// breaker gates fleet dispatch (nil without a coordinator): repeated
-	// ErrUnavailable trips it, and tripped requests go straight to local
-	// execution instead of paying the fleet probe cost per request.
-	breaker *fleet.Breaker
 	// requestTimeout bounds one job from submission to completion (0 =
 	// unbounded); it propagates as a context through scenario and fleet
 	// execution, so an expired request stops computing rows.
@@ -94,7 +90,6 @@ type server struct {
 	runsCompleted    *obs.Counter
 	runsFailed       *obs.Counter
 	runsCached       *obs.Counter
-	runsFleet        *obs.Counter // completed runs executed by the worker fleet
 	campaignsTotal   *obs.Counter
 	deadlineExceeded *obs.Counter // runs killed by -request-timeout
 	runSeconds       *obs.Histogram
@@ -153,9 +148,6 @@ func newServerCfg(cfg serverConfig) *server {
 		jobs:           make(map[string]*job),
 		inflight:       make(map[string]*job),
 	}
-	if cfg.coord != nil {
-		s.breaker = fleet.NewBreaker()
-	}
 	s.registerMetrics()
 	for w := 0; w < cfg.workers; w++ {
 		go s.worker()
@@ -192,7 +184,6 @@ func (s *server) registerMetrics() {
 	s.runsCompleted = s.reg.Counter("avg_runs_completed_total", "Jobs that finished with a result.")
 	s.runsFailed = s.reg.Counter("avg_runs_failed_total", "Jobs that finished with an error.")
 	s.runsCached = s.reg.Counter("avg_runs_cached_total", "Jobs answered from the result store without executing.")
-	s.runsFleet = s.reg.Counter("avg_runs_fleet_total", "Completed runs executed by the worker fleet.")
 	s.campaignsTotal = s.reg.Counter("avg_campaigns_total", "Campaign documents accepted.")
 	s.deadlineExceeded = s.reg.Counter("avg_deadline_exceeded_total", "Runs killed by the -request-timeout deadline.")
 	s.runSeconds = s.reg.Histogram("avg_run_seconds", "Wall-clock duration of executed (non-cached) runs.")
@@ -209,22 +200,7 @@ func (s *server) registerMetrics() {
 	})
 	s.store.RegisterMetrics(s.reg)
 	s.graphs.RegisterMetrics(s.reg)
-	if s.coord != nil {
-		s.coord.RegisterMetrics(s.reg)
-	}
-	if s.breaker != nil {
-		s.reg.GaugeFunc("avg_fleet_breaker_state", "Fleet dispatch breaker: 0 closed, 1 open, 2 half-open.", func() float64 {
-			switch s.breaker.State() {
-			case "open":
-				return 1
-			case "half-open":
-				return 2
-			default:
-				return 0
-			}
-		})
-		s.reg.CounterFunc("avg_fleet_breaker_trips_total", "Times the fleet dispatch breaker opened.", s.breaker.Trips)
-	}
+	s.coord.RegisterMetrics(s.reg) // avg_runs_fleet_total alone when s.coord is nil
 }
 
 func (s *server) worker() {
@@ -233,13 +209,12 @@ func (s *server) worker() {
 	}
 }
 
-// execute runs one job: the fleet coordinator when workers are attached
-// (falling back to local execution on fleet infrastructure failures —
-// byte-identity makes the fallback invisible to clients), scenario.Run
-// otherwise, then a write-through Put. The stored bytes are the response
-// bytes, so repeat requests are served bit-identically. A persistence
-// failure degrades to a cache miss on the next request; it never fails a
-// computed result.
+// execute runs one job: fleet.Coordinator.Execute in -fleet mode (it
+// picks the fleet or local execution; byte-identity makes the choice
+// invisible to clients), scenario.Run otherwise, then a write-through
+// Put. The stored bytes are the response bytes, so repeat requests are
+// served bit-identically. A persistence failure degrades to a cache miss
+// on the next request; it never fails a computed result.
 func (s *server) execute(j *job) {
 	s.setStatus(j, statusRunning, "")
 	start := time.Now()
@@ -257,7 +232,14 @@ func (s *server) execute(j *job) {
 	}
 	reqSpan := tracer.Span(nil, "request", obs.A("job", j.ID), obs.A("key", j.Key))
 	ctx := obs.With(j.ctx, reqSpan)
-	out, viaFleet, err := s.runSpec(ctx, j.spec)
+	opt := scenario.Options{Parallelism: s.par, Ctx: ctx, Graphs: s.graphs}
+	var out *scenario.Outcome
+	var err error
+	if s.coord != nil {
+		out, _, err = s.coord.Execute(j.spec, opt)
+	} else {
+		out, err = scenario.Run(j.spec, opt)
+	}
 	if j.cancel != nil {
 		j.cancel()
 	}
@@ -277,9 +259,9 @@ func (s *server) execute(j *job) {
 		}
 	}
 	if err != nil {
-		reqSpan.End(obs.A("via_fleet", viaFleet), obs.A("error", err.Error()))
+		reqSpan.End(obs.A("error", err.Error()))
 	} else {
-		reqSpan.End(obs.A("via_fleet", viaFleet), obs.A("bytes", len(data)))
+		reqSpan.End(obs.A("bytes", len(data)))
 	}
 	if cerr := tracer.Close(); cerr != nil {
 		log.Printf("avgserve: closing trace artifact for %s: %v", j.Key, cerr)
@@ -296,9 +278,6 @@ func (s *server) execute(j *job) {
 		j.result = data
 		j.Status = statusDone
 		s.runsCompleted.Inc()
-		if viaFleet {
-			s.runsFleet.Inc()
-		}
 	}
 	delete(s.inflight, j.Key)
 	s.mu.Unlock()
@@ -316,33 +295,6 @@ func (s *server) noteRunSeconds(sec float64) {
 		s.ewmaRunSec = alpha*sec + (1-alpha)*s.ewmaRunSec
 	}
 	s.mu.Unlock()
-}
-
-// runSpec executes one scenario, dispatching to the fleet when workers are
-// attached and the circuit breaker admits it. viaFleet reports whether the
-// fleet produced the outcome.
-func (s *server) runSpec(ctx context.Context, spec *scenario.Spec) (out *scenario.Outcome, viaFleet bool, err error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if s.coord != nil && s.coord.Workers() > 0 && s.breaker.Allow() {
-		out, err = s.coord.RunScenario(ctx, spec)
-		if err == nil {
-			s.breaker.Success()
-			return out, true, nil
-		}
-		if !errors.Is(err, fleet.ErrUnavailable) {
-			// A deterministic execution error or an expired request: the
-			// fleet infrastructure itself answered, so the breaker stays
-			// closed; a local retry would only re-derive the same failure.
-			s.breaker.Success()
-			return nil, false, err
-		}
-		s.breaker.Failure()
-		log.Printf("avgserve: fleet unavailable (%v), running locally", err)
-	}
-	out, err = scenario.Run(spec, scenario.Options{Parallelism: s.par, Ctx: ctx, Graphs: s.graphs})
-	return out, false, err
 }
 
 func (s *server) setStatus(j *job, status, errMsg string) {
@@ -574,7 +526,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 		RunsCompleted:     s.runsCompleted.Value(),
 		RunsFailed:        s.runsFailed.Value(),
 		RunsCached:        s.runsCached.Value(),
-		RunsFleet:         s.runsFleet.Value(),
+		RunsFleet:         s.coord.RunsFleet(),
 		CampaignsTotal:    s.campaignsTotal.Value(),
 		DeadlineExceeded:  s.deadlineExceeded.Value(),
 		StoreQuarantined:  st.Quarantined,
@@ -583,10 +535,8 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 	if fs != nil {
 		m.FleetWorkers = len(fs.Workers)
-	}
-	if s.breaker != nil {
-		m.FleetBreakerState = s.breaker.State()
-		m.FleetBreakerTrips = s.breaker.Trips()
+		m.FleetBreakerState = s.coord.Breaker().State()
+		m.FleetBreakerTrips = s.coord.Breaker().Trips()
 	}
 	writeJSON(w, http.StatusOK, m)
 }

@@ -51,7 +51,7 @@ func main() {
 	fmt.Println("\nTheorem 5 — deterministic matching via fractional rounding:")
 	for _, cfg := range []struct{ n, d int }{{512, 4}, {512, 16}, {4096, 4}} {
 		g := graph.RandomRegular(cfg.n, cfg.d, rng)
-		rep, err := core.Measure(g, core.MaximalMatching, core.DetMatchingRunner(), core.MeasureOptions{Trials: 1, Seed: 5})
+		rep, err := core.Measure(g, core.MaximalMatching, matching.Det{}, core.MeasureOptions{Trials: 1, Seed: 5})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -9,13 +9,14 @@ import (
 	"log"
 	"math/rand/v2"
 
+	"avgloc/internal/alg/orient"
 	"avgloc/internal/core"
 	"avgloc/internal/graph"
 )
 
 func main() {
 	rng := rand.New(rand.NewPCG(3, 33))
-	detAvg, detWorst, randMark := core.SinklessRunners()
+	detAvg, detWorst, randMark := orient.DetAveraged{}, orient.DetWorstCase{}, orient.RandMarking{}
 
 	fmt.Println("n       thm6 AVG_V  thm6 worst  baseline AVG_V  baseline worst  rand AVG_V")
 	for _, n := range []int{512, 2048, 8192, 32768} {

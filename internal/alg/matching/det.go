@@ -45,8 +45,9 @@ type Det struct {
 // Name identifies the algorithm.
 func (Det) Name() string { return "matching/det" }
 
-// Run executes the algorithm on g and returns the commit-round ledger.
-func (d Det) Run(g *graph.Graph) (*runtime.Result, error) {
+// Run executes the algorithm on g and returns the commit-round ledger. It
+// reads neither identifiers nor the seed.
+func (d Det) Run(g *graph.Graph, _ []int64, _ uint64) (*runtime.Result, error) {
 	s := locality.New(g)
 	segFactor := d.SegmentFactor
 	if segFactor <= 0 {

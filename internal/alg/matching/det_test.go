@@ -13,7 +13,7 @@ import (
 
 func TestDetMaximalMatching(t *testing.T) {
 	for i, g := range workloads(t, 51) {
-		res, err := matching.Det{}.Run(g)
+		res, err := matching.Det{}.Run(g, nil, 0)
 		if err != nil {
 			t.Fatalf("workload %d (%s): %v", i, g, err)
 		}
@@ -28,7 +28,7 @@ func TestDetMatchingProperty(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, seed^0xfeed))
 		n := 5 + int(seed%60)
 		g := graph.GNP(n, 0.15, rng)
-		res, err := matching.Det{}.Run(g)
+		res, err := matching.Det{}.Run(g, nil, 0)
 		if err != nil {
 			return false
 		}
@@ -46,7 +46,7 @@ func TestDetMatchingEdgeAvgIndependentOfN(t *testing.T) {
 	var avgs []float64
 	for _, n := range []int{128, 512} {
 		g := graph.RandomRegular(n, 4, rng)
-		res, err := matching.Det{}.Run(g)
+		res, err := matching.Det{}.Run(g, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -67,7 +67,7 @@ func TestDetMatchingProgressPerIteration(t *testing.T) {
 	// only O(log n) iterations — bounded here via the worst-case rounds.
 	rng := rand.New(rand.NewPCG(55, 56))
 	g := graph.RandomRegular(300, 8, rng)
-	res, err := matching.Det{}.Run(g)
+	res, err := matching.Det{}.Run(g, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -83,8 +83,9 @@ type avgState struct {
 	spareA, spareB []int32
 }
 
-// Run executes the algorithm; ids break default-orientation ties.
-func (d DetAveraged) Run(g *graph.Graph, ids []int64) (*runtime.Result, error) {
+// Run executes the algorithm; ids break default-orientation ties. It is
+// deterministic: the seed is unused.
+func (d DetAveraged) Run(g *graph.Graph, ids []int64, _ uint64) (*runtime.Result, error) {
 	if err := checkMinDegree(d.Name(), g); err != nil {
 		return nil, err
 	}

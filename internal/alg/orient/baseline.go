@@ -46,8 +46,9 @@ type DetWorstCase struct{}
 // Name identifies the algorithm.
 func (DetWorstCase) Name() string { return "orient/det-worstcase" }
 
-// Run executes the algorithm; ids break orientation ties.
-func (d DetWorstCase) Run(g *graph.Graph, ids []int64) (*runtime.Result, error) {
+// Run executes the algorithm; ids break orientation ties. It is
+// deterministic: the seed is unused.
+func (d DetWorstCase) Run(g *graph.Graph, ids []int64, _ uint64) (*runtime.Result, error) {
 	if err := checkMinDegree(d.Name(), g); err != nil {
 		return nil, err
 	}

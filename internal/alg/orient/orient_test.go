@@ -53,7 +53,7 @@ func minDeg3Workloads(t *testing.T, seed uint64) []*graph.Graph {
 
 func TestDetWorstCaseSinkless(t *testing.T) {
 	for i, g := range minDeg3Workloads(t, 61) {
-		res, err := orient.DetWorstCase{}.Run(g, ids.Sequential(g.N()))
+		res, err := orient.DetWorstCase{}.Run(g, ids.Sequential(g.N()), 0)
 		if err != nil {
 			t.Fatalf("workload %d (%s): %v", i, g, err)
 		}
@@ -81,7 +81,7 @@ func TestRandMarkingSinkless(t *testing.T) {
 
 func TestDetAveragedSinkless(t *testing.T) {
 	for i, g := range minDeg3Workloads(t, 65) {
-		res, err := orient.DetAveraged{}.Run(g, ids.Sequential(g.N()))
+		res, err := orient.DetAveraged{}.Run(g, ids.Sequential(g.N()), 0)
 		if err != nil {
 			t.Fatalf("workload %d (%s): %v", i, g, err)
 		}
@@ -98,7 +98,7 @@ func TestDetAveragedLargeGraphRegression(t *testing.T) {
 	// sinks via inconsistent defaults.
 	rng := rand.New(rand.NewPCG(69, 70))
 	g := graph.RandomRegular(30000, 3, rng)
-	res, err := orient.DetAveraged{}.Run(g, ids.Sequential(g.N()))
+	res, err := orient.DetAveraged{}.Run(g, ids.Sequential(g.N()), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestDetAveragedLargeGraphRegression(t *testing.T) {
 }
 
 func TestDetAveragedRejectsLowDegree(t *testing.T) {
-	if _, err := (orient.DetAveraged{}).Run(graph.Cycle(5), ids.Sequential(5)); err == nil {
+	if _, err := (orient.DetAveraged{}).Run(graph.Cycle(5), ids.Sequential(5), 0); err == nil {
 		t.Fatal("cycle has degree 2; expected an error")
 	}
 }
@@ -147,7 +147,7 @@ func TestDetAveragedProperty(t *testing.T) {
 		rng := rand.New(rand.NewPCG(seed, 13))
 		n := 20 + 2*int(seed%40)
 		g := graph.RandomRegular(n, 3, rng)
-		res, err := orient.DetAveraged{}.Run(g, ids.Sequential(n))
+		res, err := orient.DetAveraged{}.Run(g, ids.Sequential(n), 0)
 		if err != nil {
 			return false
 		}
@@ -192,16 +192,16 @@ func TestTheorem6Contrast(t *testing.T) {
 	}
 
 	baseSmall := nodeAvg(512, func(g *graph.Graph) (*runtime.Result, error) {
-		return orient.DetWorstCase{}.Run(g, ids.Sequential(g.N()))
+		return orient.DetWorstCase{}.Run(g, ids.Sequential(g.N()), 0)
 	})
 	baseBig := nodeAvg(4096, func(g *graph.Graph) (*runtime.Result, error) {
-		return orient.DetWorstCase{}.Run(g, ids.Sequential(g.N()))
+		return orient.DetWorstCase{}.Run(g, ids.Sequential(g.N()), 0)
 	})
 	avgSmall := nodeAvg(512, func(g *graph.Graph) (*runtime.Result, error) {
-		return orient.DetAveraged{}.Run(g, ids.Sequential(g.N()))
+		return orient.DetAveraged{}.Run(g, ids.Sequential(g.N()), 0)
 	})
 	avgBig := nodeAvg(4096, func(g *graph.Graph) (*runtime.Result, error) {
-		return orient.DetAveraged{}.Run(g, ids.Sequential(g.N()))
+		return orient.DetAveraged{}.Run(g, ids.Sequential(g.N()), 0)
 	})
 
 	baseGrowth := baseBig / baseSmall

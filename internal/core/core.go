@@ -1,8 +1,11 @@
 // Package core is the public facade of the library: problem definitions
-// with the completion-time semantics of Section 2, a uniform Runner
-// abstraction over message-passing algorithms (internal/runtime) and
-// locality-charged algorithms (internal/locality), and the trial loop that
-// validates outputs and aggregates the Definition 1 / Appendix A measures.
+// with the completion-time semantics of Section 2, the Runner interface
+// every algorithm is measured through, and the trial loop that validates
+// outputs and aggregates the Definition 1 / Appendix A measures. The
+// locality-charged algorithms (internal/locality: the orient runners and
+// matching.Det) implement Runner themselves; MessagePassing adapts a
+// runtime.Algorithm, and its EngineRunner lets each trial worker reuse
+// one runtime.Engine.
 package core
 
 import (
@@ -12,7 +15,6 @@ import (
 
 	"avgloc/internal/alg/matching"
 	"avgloc/internal/alg/mis"
-	"avgloc/internal/alg/orient"
 	"avgloc/internal/alg/ruling"
 	"avgloc/internal/graph"
 	"avgloc/internal/ids"
@@ -128,7 +130,8 @@ var SinklessOrientation = Problem{
 	},
 }
 
-// Runner runs one trial of an algorithm and returns the commit ledger.
+// Runner runs one trial of an algorithm and returns the commit ledger. A
+// deterministic algorithm ignores the seed.
 type Runner interface {
 	Name() string
 	Run(g *graph.Graph, assignment []int64, seed uint64) (*runtime.Result, error)
@@ -157,43 +160,6 @@ func (r mpRunner) Run(g *graph.Graph, assignment []int64, seed uint64) (*runtime
 
 func (r mpRunner) RunEngine(eng *runtime.Engine, assignment []int64, seed uint64) (*runtime.Result, error) {
 	return eng.Run(r.alg, runtime.Config{IDs: assignment, Seed: seed})
-}
-
-// Charged wraps a locality-charged algorithm as a Runner.
-func Charged(name string, run func(g *graph.Graph, assignment []int64, seed uint64) (*runtime.Result, error)) Runner {
-	return chargedRunner{name: name, run: run}
-}
-
-type chargedRunner struct {
-	name string
-	run  func(*graph.Graph, []int64, uint64) (*runtime.Result, error)
-}
-
-func (r chargedRunner) Name() string { return r.name }
-
-func (r chargedRunner) Run(g *graph.Graph, assignment []int64, seed uint64) (*runtime.Result, error) {
-	return r.run(g, assignment, seed)
-}
-
-// DetMatchingRunner adapts matching.Det.
-func DetMatchingRunner() Runner {
-	return Charged(matching.Det{}.Name(), func(g *graph.Graph, _ []int64, _ uint64) (*runtime.Result, error) {
-		return matching.Det{}.Run(g)
-	})
-}
-
-// SinklessRunners returns the three Section 3.3 runners.
-func SinklessRunners() (detAvg, detWorst, rand Runner) {
-	detAvg = Charged(orient.DetAveraged{}.Name(), func(g *graph.Graph, assignment []int64, _ uint64) (*runtime.Result, error) {
-		return orient.DetAveraged{}.Run(g, assignment)
-	})
-	detWorst = Charged(orient.DetWorstCase{}.Name(), func(g *graph.Graph, assignment []int64, _ uint64) (*runtime.Result, error) {
-		return orient.DetWorstCase{}.Run(g, assignment)
-	})
-	rand = Charged(orient.RandMarking{}.Name(), func(g *graph.Graph, assignment []int64, seed uint64) (*runtime.Result, error) {
-		return orient.RandMarking{}.Run(g, assignment, seed)
-	})
-	return detAvg, detWorst, rand
 }
 
 // Report bundles the aggregated measures of a measurement run.

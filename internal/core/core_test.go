@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"avgloc/internal/alg/mis"
+	"avgloc/internal/alg/orient"
 	"avgloc/internal/core"
 	"avgloc/internal/graph"
 	"avgloc/internal/runtime"
@@ -73,15 +74,7 @@ func TestMeasurePropagatesOneSidedError(t *testing.T) {
 		Kind:     runtime.NodeOutputs,
 		Validate: func(*graph.Graph, *runtime.Result) error { return nil },
 	}
-	runner := core.Charged("test/no-commits", func(g *graph.Graph, _ []int64, _ uint64) (*runtime.Result, error) {
-		return &runtime.Result{
-			NodeCommit: []int32{-1, -1},
-			EdgeCommit: []int32{-1},
-			NodeOut:    make([]int32, 2),
-			EdgeOut:    make([]int32, 1),
-		}, nil
-	})
-	_, err := core.Measure(g, prob, runner, core.MeasureOptions{Trials: 1})
+	_, err := core.Measure(g, prob, noCommits{}, core.MeasureOptions{Trials: 1})
 	if err == nil {
 		t.Fatal("uncommitted ledger accepted")
 	}
@@ -90,10 +83,23 @@ func TestMeasurePropagatesOneSidedError(t *testing.T) {
 	}
 }
 
+// noCommits is a Runner on graph.Path(2) whose trials commit nothing.
+type noCommits struct{}
+
+func (noCommits) Name() string { return "test/no-commits" }
+
+func (noCommits) Run(*graph.Graph, []int64, uint64) (*runtime.Result, error) {
+	return &runtime.Result{
+		NodeCommit: []int32{-1, -1},
+		EdgeCommit: []int32{-1},
+		NodeOut:    make([]int32, 2),
+		EdgeOut:    make([]int32, 1),
+	}, nil
+}
+
 func TestSinklessRunnersOnSmallGraph(t *testing.T) {
 	g := graph.Complete(5)
-	detAvg, detWorst, randMark := core.SinklessRunners()
-	for _, r := range []core.Runner{detAvg, detWorst, randMark} {
+	for _, r := range []core.Runner{orient.DetAveraged{}, orient.DetWorstCase{}, orient.RandMarking{}} {
 		rep, err := core.Measure(g, core.SinklessOrientation, r, core.MeasureOptions{Trials: 1, Seed: 3})
 		if err != nil {
 			t.Fatalf("%s: %v", r.Name(), err)

@@ -8,6 +8,7 @@ import (
 
 	"avgloc/internal/alg/matching"
 	"avgloc/internal/alg/mis"
+	"avgloc/internal/alg/orient"
 	"avgloc/internal/core"
 	"avgloc/internal/graph"
 )
@@ -27,14 +28,8 @@ func TestMeasureParallelEqualsSequential(t *testing.T) {
 	}{
 		{"mis-luby", 6, core.MIS, core.MessagePassing(mis.Luby{})},
 		{"matching-luby", 6, core.MaximalMatching, core.MessagePassing(matching.RandLuby{})},
+		{"sinkless-rand", 3, core.SinklessOrientation, orient.RandMarking{}},
 	}
-	_, _, sinklessRand := core.SinklessRunners()
-	cases = append(cases, struct {
-		name   string
-		degree int
-		prob   core.Problem
-		runner core.Runner
-	}{"sinkless-rand", 3, core.SinklessOrientation, sinklessRand})
 
 	for _, tc := range cases {
 		tc := tc

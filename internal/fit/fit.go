@@ -216,16 +216,6 @@ const MaxMargin = 1000
 // the raw statistic diverges, which JSON cannot carry.
 const MaxF = 1e9
 
-// ModelFor returns the fitted model of class c.
-func (r *Result) ModelFor(c Class) (Model, bool) {
-	for _, m := range r.Models {
-		if m.Class == c {
-			return m, true
-		}
-	}
-	return Model{}, false
-}
-
 // relEps guards divisions by near-zero residuals and means.
 const relEps = 1e-9
 

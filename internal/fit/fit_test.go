@@ -118,12 +118,17 @@ func TestPolyRecoversAlpha(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, ok := res.ModelFor(Poly)
-		if !ok {
+		var poly *Model
+		for i := range res.Models {
+			if res.Models[i].Class == Poly {
+				poly = &res.Models[i]
+			}
+		}
+		if poly == nil {
 			t.Fatal("no poly model")
 		}
-		if math.Abs(m.Alpha-alpha) > 0.01 {
-			t.Fatalf("alpha %v fitted as %v", alpha, m.Alpha)
+		if math.Abs(poly.Alpha-alpha) > 0.01 {
+			t.Fatalf("alpha %v fitted as %v", alpha, poly.Alpha)
 		}
 	}
 }

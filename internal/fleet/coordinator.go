@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"avgloc/internal/cache"
 	"avgloc/internal/obs"
 	"avgloc/internal/resultstore"
 	"avgloc/internal/scenario"
@@ -185,6 +186,10 @@ type Stats struct {
 // — so the coordinator needs no background goroutine and no Close.
 type Coordinator struct {
 	cfg Config
+	// breaker gates Execute's fleet dispatch: repeated ErrUnavailable
+	// trips it, and tripped runs go straight to local execution instead
+	// of paying the fleet probe cost (queue wait, retry budget) per run.
+	breaker *Breaker
 
 	mu      sync.Mutex
 	workers map[string]*workerState
@@ -204,12 +209,14 @@ type Coordinator struct {
 	stolen     atomic.Int64
 	failed     atomic.Int64
 	duplicate  atomic.Int64
+	fleetRuns  atomic.Int64 // Execute calls the fleet answered
 }
 
 // NewCoordinator returns a coordinator with the given configuration.
 func NewCoordinator(cfg Config) *Coordinator {
 	return &Coordinator{
 		cfg:     cfg,
+		breaker: NewBreaker(),
 		workers: make(map[string]*workerState),
 		tasks:   make(map[string]*task),
 		leased:  make(map[string]*task),
@@ -265,10 +272,40 @@ func (c *Coordinator) Stats() Stats {
 	return st
 }
 
-// RegisterMetrics publishes the coordinator's lifecycle counters and
-// queue gauges on r under the avg_fleet_* names. The counter funcs read
-// the same atomics Stats does; the gauges take c.mu exactly like Stats.
+// RunsFleet is the number of Execute calls the fleet answered; a nil
+// coordinator reports 0.
+func (c *Coordinator) RunsFleet() int64 {
+	if c == nil {
+		return 0
+	}
+	return c.fleetRuns.Load()
+}
+
+// Breaker is the circuit breaker that gates Execute's fleet dispatch.
+func (c *Coordinator) Breaker() *Breaker { return c.breaker }
+
+// RegisterMetrics publishes avg_runs_fleet_total, the dispatch breaker,
+// and the coordinator's lifecycle counters and queue gauges on r under
+// the avg_fleet_* names. The counter funcs read the same atomics Stats
+// does; the gauges take c.mu exactly like Stats. A nil coordinator (a
+// server without a fleet) registers avg_runs_fleet_total alone, at 0, so
+// that series exists in every mode.
 func (c *Coordinator) RegisterMetrics(r *obs.Registry) {
+	r.CounterFunc("avg_runs_fleet_total", "Completed runs executed by the worker fleet.", c.RunsFleet)
+	if c == nil {
+		return
+	}
+	r.GaugeFunc("avg_fleet_breaker_state", "Fleet dispatch breaker: 0 closed, 1 open, 2 half-open.", func() float64 {
+		switch c.breaker.State() {
+		case "open":
+			return 1
+		case "half-open":
+			return 2
+		default:
+			return 0
+		}
+	})
+	r.CounterFunc("avg_fleet_breaker_trips_total", "Times the fleet dispatch breaker opened.", c.breaker.Trips)
 	r.CounterFunc("avg_fleet_chunks_dispatched_total", "Chunk leases handed to workers.", c.dispatched.Load)
 	r.CounterFunc("avg_fleet_chunks_completed_total", "Chunks merged (first completion wins).", c.completed.Load)
 	r.CounterFunc("avg_fleet_chunks_cached_total", "Chunks served from the chunk cache without dispatch.", c.cached.Load)
@@ -770,10 +807,14 @@ func (c *Coordinator) mergeRun(n *scenario.Spec, r *run) (*scenario.Outcome, err
 	return out, nil
 }
 
-// Execute runs the spec across the fleet when workers are attached,
-// falling back to scenario.Run with the caller's options otherwise and on
-// any ErrUnavailable — byte-identity makes the fallback invisible, and the
-// fallback fetches graphs through opt.Graphs like any local run. Its
+// Execute is the one place that picks between the fleet and local
+// execution. It runs the spec across the fleet when workers are attached
+// and the dispatch breaker admits it, falling back to scenario.Run with
+// the caller's options otherwise and on any ErrUnavailable — byte-identity
+// makes the fallback invisible, and the fallback fetches graphs through
+// opt.Graphs like any local run. A deterministic execution error or an
+// expired context is returned as is: the fleet answered, so the breaker
+// counts it a success, and a local retry would only re-derive it. Its
 // signature is campaign.Options.Execute's (pinned by a compile-time
 // assertion in the tests; fleet must not import campaign), so a
 // coordinator plugs straight into campaign.Run: every scenario of the
@@ -781,15 +822,20 @@ func (c *Coordinator) mergeRun(n *scenario.Spec, r *run) (*scenario.Outcome, err
 // shared fleet budget — as cmd/avgcampaign's -fleet-listen mode does.
 // cached is always false: chunk-cache hits still merge into a fresh run.
 func (c *Coordinator) Execute(spec *scenario.Spec, opt scenario.Options) (out *scenario.Outcome, cached bool, err error) {
-	if c.Workers() > 0 {
+	if c.Workers() > 0 && c.breaker.Allow() {
 		ctx := opt.Ctx
 		if ctx == nil {
 			ctx = context.Background()
 		}
 		out, err = c.RunScenario(ctx, spec)
-		if err == nil || !errors.Is(err, ErrUnavailable) {
+		if !errors.Is(err, ErrUnavailable) {
+			c.breaker.Success()
+			if err == nil {
+				c.fleetRuns.Add(1)
+			}
 			return out, false, err
 		}
+		c.breaker.Failure()
 		c.logf("fleet: unavailable (%v), running locally", err)
 	}
 	out, err = scenario.Run(spec, opt)
@@ -809,16 +855,17 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// decodeBody strictly decodes a bounded, envelope-framed JSON body. A
-// checksum failure — a corrupted upload — is a 400; the worker's retry
-// paths resend.
+// decodeBody strictly decodes a bounded, wireMagic-framed JSON body. A
+// framing or checksum failure — a corrupted upload, or a body from a
+// build that framed the protocol differently — is a 400; the worker's
+// retry paths resend.
 func decodeBody(w http.ResponseWriter, r *http.Request, limit int64, v any) bool {
 	body, err := io.ReadAll(io.LimitReader(r.Body, limit))
 	if err != nil {
 		fleetError(w, http.StatusBadRequest, fmt.Errorf("reading body: %w", err))
 		return false
 	}
-	payload, err := openEnvelope(body)
+	payload, err := cache.Open(wireMagic, body)
 	if err != nil {
 		fleetError(w, http.StatusBadRequest, err)
 		return false
@@ -886,23 +933,23 @@ func (c *Coordinator) handleDeregister(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleStats serves the human/ops diagnostic; it is plain JSON, not
-// envelope-framed — only the worker protocol carries the integrity layer.
+// wireMagic-framed — only the worker protocol carries the integrity layer.
 func (c *Coordinator) handleStats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	json.NewEncoder(w).Encode(c.Stats())
 }
 
-// fleetJSON writes an envelope-framed protocol response.
+// fleetJSON writes a wireMagic-framed JSON protocol response.
 func fleetJSON(w http.ResponseWriter, status int, v any) {
-	body, err := sealEnvelope(v)
+	payload, err := json.Marshal(v)
 	if err != nil {
-		body, _ = sealEnvelope(errorResponse{Error: err.Error()})
+		payload, _ = json.Marshal(errorResponse{Error: err.Error()})
 		status = http.StatusInternalServerError
 	}
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", wireContentType)
 	w.WriteHeader(status)
-	w.Write(body)
+	w.Write(cache.Seal(wireMagic, payload))
 }
 
 func fleetError(w http.ResponseWriter, status int, err error) {

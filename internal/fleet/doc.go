@@ -16,6 +16,11 @@
 //	POST /fleet/v1/heartbeat  {worker_id, chunk_id}
 //	POST /fleet/v1/complete   {worker_id, chunk_id, chunk | error}
 //
+// Every body, in both directions, is its JSON framed by cache.Seal under
+// the "avgfleet1 " magic — the stores' framing: magic, hex sha256 of the
+// payload, newline, payload — and is read with cache.Open, so a corrupted
+// or foreign body is a 400 or a transport error, never decoded.
+//
 // A worker that stops heartbeating loses its leases: the affected chunks
 // requeue (bounded by the retry budget) and another worker re-derives the
 // same bytes. Stragglers are work-stolen — an idle poller may receive a
@@ -35,10 +40,14 @@
 // the row's Meta. FuzzCompleteUpload fuzzes the upload path.
 //
 // Infrastructure failures (no workers attached, a chunk lost beyond the
-// DefaultMaxRetries budget) are reported as ErrUnavailable, distinct from
-// deterministic execution errors: callers such as cmd/avgserve fall back
-// to local execution on ErrUnavailable, which byte-identity makes
-// transparent to clients. Coordinator.Execute is campaign.Options.Execute
-// with that fallback built in: it calls scenario.Run with the caller's
-// options, graph store included, and never reports a cached outcome.
+// DefaultMaxRetries budget, a full queue) are reported as ErrUnavailable,
+// distinct from deterministic execution errors. Coordinator.Execute is
+// the one place that picks between the fleet and local execution, for
+// cmd/avgserve -fleet and cmd/avgcampaign -fleet-listen alike: it falls
+// back to scenario.Run with the caller's options, graph store included,
+// on ErrUnavailable, which byte-identity makes transparent to clients.
+// Its circuit breaker (Breaker) skips the fleet for a cool-down after
+// DefaultBreakerThreshold failures in a row, and it counts the runs the
+// fleet answered (avg_runs_fleet_total). Its signature is
+// campaign.Options.Execute's, and it never reports a cached outcome.
 package fleet

@@ -2,12 +2,15 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"avgloc/internal/campaign"
 	"avgloc/internal/graphstore"
+	"avgloc/internal/obs"
 	"avgloc/internal/scenario"
 )
 
@@ -92,5 +95,45 @@ func TestExecuteUsesFleetWhenWorkersAttached(t *testing.T) {
 	}
 	if st := c.Stats(); st.ChunksDispatched == 0 {
 		t.Fatalf("Execute with workers did not dispatch: %+v", st)
+	}
+}
+
+// TestExecuteBreakerTrips: Execute owns the dispatch breaker. Against a
+// fleet whose every attempt fails at once with ErrBusy (one idle worker,
+// a one-chunk queue, a two-chunk spec), the first DefaultBreakerThreshold
+// calls probe the fleet and fall back; then the breaker is open and the
+// rest run locally without a probe. Every call returns scenario.Run's
+// bytes, and the coordinator's registry shows one trip.
+func TestExecuteBreakerTrips(t *testing.T) {
+	spec := scenario.Spec{Graph: "cycle", Params: map[string]float64{"n": 24}, Algorithm: "mis/luby", Trials: 2, Seed: 8}
+	want := localBytes(t, &spec)
+	var probes int
+	c := NewCoordinator(Config{QueueCap: 1, ChunkTrials: 1, Logf: func(format string, args ...any) {
+		if strings.Contains(fmt.Sprintf(format, args...), "unavailable") {
+			probes++
+		}
+	}})
+	c.register("idle")
+	reg := obs.NewRegistry()
+	c.RegisterMetrics(reg)
+	for i := 0; i < DefaultBreakerThreshold+3; i++ {
+		out, _, err := c.Execute(&spec, scenario.Options{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		got, _ := out.MarshalStable()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("call %d differs from scenario.Run", i)
+		}
+	}
+	if probes != DefaultBreakerThreshold {
+		t.Fatalf("%d fleet probes fell back, want %d (the breaker should stop probing)", probes, DefaultBreakerThreshold)
+	}
+	var prom strings.Builder
+	reg.WritePrometheus(&prom)
+	for _, line := range []string{"avg_fleet_breaker_trips_total 1", "avg_fleet_breaker_state 1"} {
+		if !strings.Contains(prom.String(), line+"\n") {
+			t.Fatalf("registry lacks %q:\n%s", line, prom.String())
+		}
 	}
 }

@@ -1,48 +1,19 @@
 package fleet
 
-import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
-	"fmt"
+import "avgloc/internal/scenario"
 
-	"avgloc/internal/scenario"
-)
+// wireMagic heads every worker-protocol body (both directions), framed by
+// cache.Seal as the stores frame their files: magic, hex sha256 of the
+// JSON payload, newline, payload. The coordinator validates a completed
+// chunk's shape against its lease, but a bit flip inside a poll response
+// — a corrupted spec seed, a shifted trial bound — would otherwise
+// execute cleanly and poison the merge with plausible wrong bytes. The
+// checksum turns every in-flight corruption into a loud transport error,
+// which the retry paths already handle.
+const wireMagic = "avgfleet1 "
 
-// envelope frames every worker-protocol body (both directions) with a
-// checksum of its payload. The coordinator validates a completed chunk's
-// shape against its lease, but a bit flip inside a poll response — a
-// corrupted spec seed, a shifted trial bound — would otherwise execute
-// cleanly and poison the merge with plausible wrong bytes. The envelope
-// turns every in-flight corruption into a loud transport error, which the
-// retry paths already handle.
-type envelope struct {
-	Sum     string          `json:"sum"`
-	Payload json.RawMessage `json:"payload"`
-}
-
-// sealEnvelope renders v as a checksummed protocol body.
-func sealEnvelope(v any) ([]byte, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return nil, err
-	}
-	sum := sha256.Sum256(payload)
-	return json.Marshal(envelope{Sum: hex.EncodeToString(sum[:]), Payload: payload})
-}
-
-// openEnvelope verifies a protocol body's checksum and returns the payload.
-func openEnvelope(data []byte) ([]byte, error) {
-	var e envelope
-	if err := json.Unmarshal(data, &e); err != nil {
-		return nil, fmt.Errorf("fleet: protocol envelope: %w", err)
-	}
-	sum := sha256.Sum256(e.Payload)
-	if e.Sum != hex.EncodeToString(sum[:]) {
-		return nil, fmt.Errorf("fleet: protocol envelope checksum mismatch")
-	}
-	return e.Payload, nil
-}
+// wireContentType labels the framed bodies; they are not bare JSON.
+const wireContentType = "application/octet-stream"
 
 // ChunkJob is one leased unit of work: execute trials [TrialLo, TrialHi)
 // of sweep row Row of Spec. The spec travels with every lease so workers

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"time"
 
+	"avgloc/internal/cache"
 	"avgloc/internal/graphstore"
 	"avgloc/internal/obs"
 	"avgloc/internal/scenario"
@@ -323,13 +324,13 @@ func (w *Worker) deregister(workerID string) {
 	}
 }
 
-// post is one envelope-framed JSON round-trip against the coordinator,
+// post is one wireMagic-framed JSON round-trip against the coordinator,
 // bounded by timeout. 410 Gone maps to errLapsed; other non-200 statuses
-// surface the server's error line. A checksum failure on the response —
-// in-flight corruption or truncation — is an error, never silently
-// decoded.
+// surface the server's error line. A framing or checksum failure on the
+// response — in-flight corruption or truncation — is an error, never
+// silently decoded.
 func (w *Worker) post(ctx context.Context, path string, timeout time.Duration, in, out any) error {
-	body, err := sealEnvelope(in)
+	payload, err := json.Marshal(in)
 	if err != nil {
 		return err
 	}
@@ -338,11 +339,11 @@ func (w *Worker) post(ctx context.Context, path string, timeout time.Duration, i
 		ctx, cancel = context.WithTimeout(ctx, timeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Base+path, bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, w.Base+path, bytes.NewReader(cache.Seal(wireMagic, payload)))
 	if err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", wireContentType)
 	resp, err := w.client().Do(req)
 	if err != nil {
 		return err
@@ -354,7 +355,7 @@ func (w *Worker) post(ctx context.Context, path string, timeout time.Duration, i
 	if resp.StatusCode != http.StatusOK {
 		raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 		var e errorResponse
-		if payload, perr := openEnvelope(raw); perr == nil && json.Unmarshal(payload, &e) == nil && e.Error != "" {
+		if payload, perr := cache.Open(wireMagic, raw); perr == nil && json.Unmarshal(payload, &e) == nil && e.Error != "" {
 			return fmt.Errorf("fleet: %s: %s (HTTP %d)", path, e.Error, resp.StatusCode)
 		}
 		return fmt.Errorf("fleet: %s: HTTP %d", path, resp.StatusCode)
@@ -363,9 +364,9 @@ func (w *Worker) post(ctx context.Context, path string, timeout time.Duration, i
 	if err != nil {
 		return err
 	}
-	payload, err := openEnvelope(raw)
+	payload, err = cache.Open(wireMagic, raw)
 	if err != nil {
-		return err
+		return fmt.Errorf("fleet: %s: %w", path, err)
 	}
 	return json.Unmarshal(payload, out)
 }

@@ -33,33 +33,3 @@ func LineGraph(g *Graph) *Graph {
 	}
 	return b.MustBuild()
 }
-
-// Power returns the t-th power graph G^t: same node set, with an edge
-// between any two distinct nodes at distance <= t in g. Used for the
-// (2r+1)-independent clustering of Theorem 6 and for ruling-set spacing.
-func Power(g *Graph, t int) *Graph {
-	if t <= 1 {
-		// Return a simple copy with parallel edges collapsed.
-		b := NewBuilder(g.N())
-		seen := make(map[int64]struct{}, g.M())
-		for e := 0; e < g.M(); e++ {
-			u, v := g.Endpoints(e)
-			key := int64(u)<<32 | int64(v)
-			if _, dup := seen[key]; dup {
-				continue
-			}
-			seen[key] = struct{}{}
-			b.AddEdge(u, v)
-		}
-		return b.MustBuild()
-	}
-	b := NewBuilder(g.N())
-	for v := 0; v < g.N(); v++ {
-		for _, u := range g.BallNodes(v, t) {
-			if int(u) > v {
-				b.AddEdge(v, int(u))
-			}
-		}
-	}
-	return b.MustBuild()
-}

@@ -204,19 +204,6 @@ func (g *Graph) MinDegree() int {
 	return d
 }
 
-// HasEdge reports whether some edge joins u and v.
-func (g *Graph) HasEdge(u, v int) bool {
-	if g.Deg(u) > g.Deg(v) {
-		u, v = v, u
-	}
-	for _, w := range g.Neighbors(u) {
-		if int(w) == v {
-			return true
-		}
-	}
-	return false
-}
-
 // PortTo returns some port of u whose neighbor is v, or -1 if none exists.
 func (g *Graph) PortTo(u, v int) int {
 	for p, w := range g.Neighbors(u) {

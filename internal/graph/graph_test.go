@@ -36,8 +36,8 @@ func TestBasicAccessors(t *testing.T) {
 	if g.MaxDegree() != 3 || g.MinDegree() != 2 {
 		t.Fatalf("max/min degree wrong")
 	}
-	if !g.HasEdge(0, 2) || g.HasEdge(1, 3) {
-		t.Fatalf("HasEdge wrong")
+	if g.PortTo(0, 2) < 0 || g.PortTo(1, 3) != -1 {
+		t.Fatalf("PortTo wrong")
 	}
 	u, v := g.Endpoints(4)
 	if u != 0 || v != 2 {
@@ -132,16 +132,17 @@ func TestRandomBipartiteRegular(t *testing.T) {
 	}
 }
 
+// TestBFS: a one-source MultiSourceBFS is the hop distance from it.
 func TestBFS(t *testing.T) {
 	g := Path(5)
-	dist := g.BFS(0)
+	dist := g.MultiSourceBFS([]int{0})
 	for v := 0; v < 5; v++ {
 		if int(dist[v]) != v {
 			t.Fatalf("dist[%d]=%d", v, dist[v])
 		}
 	}
 	g2, _ := Disjoint(Path(3), Path(2))
-	dist = g2.BFS(0)
+	dist = g2.MultiSourceBFS([]int{0})
 	if dist[3] != -1 || dist[4] != -1 {
 		t.Fatalf("unreachable nodes should be -1: %v", dist)
 	}
@@ -261,27 +262,6 @@ func TestLineGraph(t *testing.T) {
 	}
 }
 
-func TestPower(t *testing.T) {
-	p := Power(Cycle(8), 2)
-	for v := 0; v < p.N(); v++ {
-		if p.Deg(v) != 4 {
-			t.Fatalf("C8^2 degree %d at node %d", p.Deg(v), v)
-		}
-	}
-	p3 := Power(Path(6), 5)
-	if p3.M() != 15 { // becomes complete
-		t.Fatalf("P6^5 should be K6, m=%d", p3.M())
-	}
-	// Power 1 collapses parallel edges.
-	b := NewBuilder(2)
-	b.AddEdge(0, 1)
-	b.AddEdge(0, 1)
-	multi := b.MustBuild()
-	if got := Power(multi, 1).M(); got != 1 {
-		t.Fatalf("Power(.,1) should deduplicate, m=%d", got)
-	}
-}
-
 func TestValidators(t *testing.T) {
 	g := Cycle(6)
 	mis := []bool{true, false, true, false, true, false}
@@ -370,7 +350,7 @@ func TestBFSSymmetryProperty(t *testing.T) {
 		n := 5 + int(seed%20)
 		g := GNP(n, 0.3, rng)
 		u, v := rng.IntN(n), rng.IntN(n)
-		return g.BFS(u)[v] == g.BFS(v)[u]
+		return g.MultiSourceBFS([]int{u})[v] == g.MultiSourceBFS([]int{v})[u]
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -1,28 +1,5 @@
 package graph
 
-// BFS returns the distance (in hops) from src to every node; unreachable
-// nodes get -1.
-func (g *Graph) BFS(src int) []int32 {
-	dist := make([]int32, g.n)
-	for i := range dist {
-		dist[i] = -1
-	}
-	dist[src] = 0
-	queue := make([]int32, 0, g.n)
-	queue = append(queue, int32(src))
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, u := range g.Neighbors(int(v)) {
-			if dist[u] < 0 {
-				dist[u] = dist[v] + 1
-				queue = append(queue, u)
-			}
-		}
-	}
-	return dist
-}
-
 // MultiSourceBFS returns, for every node, the distance to the nearest node
 // in sources (-1 if unreachable). Used to measure domination radii of
 // ruling sets.
@@ -249,26 +226,6 @@ func (g *Graph) TreelikeBall(v, r int) bool {
 		}
 	}
 	return true
-}
-
-// BallNodes returns the nodes at distance <= r from v, in BFS order.
-func (g *Graph) BallNodes(v, r int) []int32 {
-	dist := make(map[int32]int32, 64)
-	dist[int32(v)] = 0
-	order := []int32{int32(v)}
-	for qi := 0; qi < len(order); qi++ {
-		x := order[qi]
-		if int(dist[x]) >= r {
-			continue
-		}
-		for _, u := range g.Neighbors(int(x)) {
-			if _, seen := dist[u]; !seen {
-				dist[u] = dist[x] + 1
-				order = append(order, u)
-			}
-		}
-	}
-	return order
 }
 
 // InducedSubgraph returns the subgraph induced by keep along with the

@@ -44,14 +44,3 @@ func RandomSparse(n int, rng *rand.Rand) []int64 {
 	}
 	return out
 }
-
-// MaxID returns the largest identifier in assignment.
-func MaxID(assignment []int64) int64 {
-	var m int64
-	for _, id := range assignment {
-		if id > m {
-			m = id
-		}
-	}
-	return m
-}

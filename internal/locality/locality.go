@@ -25,18 +25,11 @@ import (
 type Sim struct {
 	g          *graph.Graph
 	clock      int32
-	charges    []Charge
 	nodeCommit []int32
 	edgeCommit []int32
 	nodeOut    []int32
 	edgeOut    []int32
 	errs       []error
-}
-
-// Charge records one phase's round cost for reporting.
-type Charge struct {
-	Rounds int
-	Reason string
 }
 
 // New returns a simulation with the clock at round 0 and nothing committed.
@@ -72,11 +65,7 @@ func (s *Sim) Advance(rounds int, reason string) {
 		return
 	}
 	s.clock += int32(rounds)
-	s.charges = append(s.charges, Charge{Rounds: rounds, Reason: reason})
 }
-
-// Charges returns the recorded phase charges.
-func (s *Sim) Charges() []Charge { return s.charges }
 
 // CommitNode fixes node v's output at the current clock.
 func (s *Sim) CommitNode(v int, out int32) {
@@ -127,12 +116,6 @@ func (s *Sim) CommitEdgeAt(e int, out int32, round int) {
 	s.edgeCommit[e] = int32(round)
 	s.edgeOut[e] = out
 }
-
-// NodeCommitted reports whether v's output is fixed.
-func (s *Sim) NodeCommitted(v int) bool { return s.nodeCommit[v] >= 0 }
-
-// EdgeCommitted reports whether e's output is fixed.
-func (s *Sim) EdgeCommitted(e int) bool { return s.edgeCommit[e] >= 0 }
 
 // Result packages the ledger; it errors if any commit error occurred.
 func (s *Sim) Result() (*runtime.Result, error) {

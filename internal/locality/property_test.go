@@ -111,7 +111,7 @@ func TestPropertyDeterministicReplay(t *testing.T) {
 
 // TestPropertyLedgerInvariants: on every random sequence, the final ledger
 // satisfies the structural invariants the measure pipeline relies on —
-// the clock equals the sum of charges, every commit round lies in
+// the clock equals the sum of advances, every commit round lies in
 // [0, clock], and the halt ledger aliases the commit ledger (an r-round
 // node is exactly a node whose output is a function of its radius-r view,
 // so it halts when it commits).
@@ -120,17 +120,20 @@ func TestPropertyLedgerInvariants(t *testing.T) {
 	for gi, g := range testGraphs(rng) {
 		for trial := 0; trial < 20; trial++ {
 			s := locality.New(g)
-			apply(s, randomOps(g, rng))
+			ops := randomOps(g, rng)
+			apply(s, ops)
 			res, err := s.Result()
 			if err != nil {
 				t.Fatalf("graph %d trial %d: %v", gi, trial, err)
 			}
 			sum := 0
-			for _, c := range s.Charges() {
-				sum += c.Rounds
+			for _, o := range ops {
+				if o.kind == 0 {
+					sum += o.round
+				}
 			}
 			if res.Rounds != sum || res.Rounds != s.Clock() {
-				t.Fatalf("graph %d trial %d: rounds %d, charges sum %d, clock %d", gi, trial, res.Rounds, sum, s.Clock())
+				t.Fatalf("graph %d trial %d: rounds %d, advances sum %d, clock %d", gi, trial, res.Rounds, sum, s.Clock())
 			}
 			for v, r := range res.NodeCommit {
 				if r < 0 || int(r) > res.Rounds {

@@ -18,6 +18,7 @@ import (
 	"avgloc/internal/alg/coloring"
 	"avgloc/internal/alg/matching"
 	"avgloc/internal/alg/mis"
+	"avgloc/internal/alg/orient"
 	"avgloc/internal/alg/ruling"
 	"avgloc/internal/core"
 	"avgloc/internal/graph"
@@ -381,19 +382,6 @@ func kmwBase(v Values) (*basegraph.Instance, error) {
 }
 
 func algEntries() []AlgEntry {
-	sinkless := func(pick int) func() (core.Runner, core.Problem) {
-		return func() (core.Runner, core.Problem) {
-			detAvg, detWorst, randMark := core.SinklessRunners()
-			switch pick {
-			case 0:
-				return detAvg, core.SinklessOrientation
-			case 1:
-				return detWorst, core.SinklessOrientation
-			default:
-				return randMark, core.SinklessOrientation
-			}
-		}
-	}
 	return []AlgEntry{
 		{Name: "mis/luby", Doc: "Luby's randomized MIS", Problem: core.MIS.Name,
 			New: func() (core.Runner, core.Problem) { return core.MessagePassing(mis.Luby{}), core.MIS }},
@@ -422,17 +410,17 @@ func algEntries() []AlgEntry {
 				return core.MessagePassing(matching.IsraeliItai{}), core.MaximalMatching
 			}},
 		{Name: "matching/det", Doc: "deterministic maximal matching via fractional rounding (Theorem 5)", Problem: core.MaximalMatching.Name,
-			New: func() (core.Runner, core.Problem) { return core.DetMatchingRunner(), core.MaximalMatching }},
+			New: func() (core.Runner, core.Problem) { return matching.Det{}, core.MaximalMatching }},
 		{Name: "coloring/randgreedy", Doc: "randomized greedy (Δ+1)-coloring", Problem: "coloring",
 			New: func() (core.Runner, core.Problem) {
 				return core.MessagePassing(coloring.RandGreedy{}), core.Coloring(1 << 30)
 			}},
 		{Name: "orient/det-averaged", Doc: "deterministic sinkless orientation, node-averaged (Theorem 6)", Problem: core.SinklessOrientation.Name,
-			New: sinkless(0)},
+			New: func() (core.Runner, core.Problem) { return orient.DetAveraged{}, core.SinklessOrientation }},
 		{Name: "orient/det-worstcase", Doc: "deterministic sinkless orientation, global-cycle baseline", Problem: core.SinklessOrientation.Name,
-			New: sinkless(1)},
+			New: func() (core.Runner, core.Problem) { return orient.DetWorstCase{}, core.SinklessOrientation }},
 		{Name: "orient/rand-marking", Doc: "randomized sinkless orientation via marking [GS17a]", Problem: core.SinklessOrientation.Name,
-			New: sinkless(2)},
+			New: func() (core.Runner, core.Problem) { return orient.RandMarking{}, core.SinklessOrientation }},
 	}
 }
 
