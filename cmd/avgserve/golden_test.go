@@ -84,18 +84,11 @@ func TestMetricNamesGolden(t *testing.T) {
 		}
 		paths := map[string]bool{}
 		keyPaths(doc, "", paths)
-		for _, set := range []struct {
-			endpoint string
-			keys     map[string]bool
-		}{{"/metrics", seen}, {"/v1/metrics", paths}} {
-			sorted := make([]string, 0, len(set.keys))
-			for k := range set.keys {
-				sorted = append(sorted, k)
-			}
-			sort.Strings(sorted)
-			for _, k := range sorted {
-				fmt.Fprintf(&b, "%s %s %s\n", setup, set.endpoint, k)
-			}
+		for _, k := range sortedKeys(seen) {
+			fmt.Fprintf(&b, "%s /metrics %s\n", setup, k)
+		}
+		for _, k := range sortedKeys(paths) {
+			fmt.Fprintf(&b, "%s /v1/metrics %s\n", setup, k)
 		}
 	}
 
@@ -133,6 +126,15 @@ func keyPaths(v any, prefix string, paths map[string]bool) {
 			keyPaths(sub, prefix+"[]", paths)
 		}
 	}
+}
+
+func sortedKeys(set map[string]bool) []string {
+	keys := make([]string, 0, len(set))
+	for k := range set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // checkGolden compares got with testdata/name, rewriting it under -update.
